@@ -9,17 +9,13 @@ standard experiment data sets.
 __version__ = "0.1.0"
 
 from .quadrature import (
-    ConvergenceError,
-    PhaseSpaceGrid,
     QuadratureRule,
     gauss_hermite,
-
-    integrate_grid,
     laguerre,
+    laguerre_table,
 )
 from .fock_dynamics import (
     FockPairState,
-    InsufficientNodesError,
     OscillatorParams,
     PhasePoint,
     classical_trajectory,
@@ -27,6 +23,8 @@ from .fock_dynamics import (
     evolved_wigner,
     hamiltonian_symbol,
     marginal_wigner,
+    mode_populations,
+    radial_profile,
     stationary_wigner,
 )
 from .gaussian_states import (
@@ -44,7 +42,6 @@ from .gaussian_states import (
 )
 from .info_measures import (
     WignerField,
-    default_negativity_grid,
     eigenstate_field,
     expectation_value,
     gaussian_field,

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fock_dynamics import FockPairState, OscillatorParams, energy
+from .fock_dynamics import FockPairState, OscillatorParams, energy, mode_populations
 from .gaussian_states import (
     GaussianState,
     ThermalBath,
@@ -36,9 +36,8 @@ from .gaussian_states import (
     state_to_record,
     thermal_state,
 )
-from .info_measures import marginal_field, mutual_information, negativity
+from .info_measures import mutual_information, negativity
 from .open_dynamics import evolve_coupled, rising_intervals
-from .quadrature import ConvergenceError, PhaseSpaceGrid, gauss_hermite
 
 __all__ = ["ConfigError", "main", "resolve_config", "run_fig1", "run_fig3", "run_query"]
 
@@ -65,13 +64,6 @@ FIG1_DEFAULTS = {
     "numeric.theta_min": "0",
     "numeric.theta_max": _fmt(math.pi),
     "numeric.theta_step": _fmt(math.pi / 200),
-    "numeric.nodes": "auto",
-    "numeric.negativity_nodes": "auto",
-    "numeric.grid_extent": "auto",
-    "numeric.grid_points": "257",
-    "numeric.grid_cap": "1025",
-    "numeric.reltol": "0.0005",
-    "numeric.abstol": "0.0002",
 }
 
 FIG3_DEFAULTS = {
@@ -172,25 +164,18 @@ def resolve_config(experiment: str, path: str | None, sets: list[str]) -> dict[s
         k, ell = _as_int(cfg, "physics.k"), _as_int(cfg, "physics.l")
         if k < 0 or ell < 0:
             raise ConfigError("quantum numbers must be nonnegative")
-        if cfg["numeric.nodes"] == "auto":
-            cfg["numeric.nodes"] = str(max(8, k + ell + 4, 2 * (k + ell) + 1))
-        if cfg["numeric.negativity_nodes"] == "auto":
-            cfg["numeric.negativity_nodes"] = str(k + ell + 2)
-        if cfg["numeric.grid_extent"] == "auto":
-            hbar = _as_float(cfg, "physics.hbar")
-            cfg["numeric.grid_extent"] = _fmt(6.0 * math.sqrt(hbar * (2 * (k + ell) + 1)))
-        for key in ("numeric.theta_min", "numeric.theta_max", "numeric.theta_step",
-                    "numeric.grid_extent", "numeric.reltol", "numeric.abstol"):
+        for key in ("numeric.theta_min", "numeric.theta_max", "numeric.theta_step"):
             cfg[key] = _fmt(_as_float(cfg, key))
         if _as_float(cfg, "numeric.theta_step") <= 0:
             raise ConfigError("numeric.theta_step must be positive")
-        points = _as_int(cfg, "numeric.grid_points")
-        if points < 3 or points % 2 == 0:
-            raise ConfigError("numeric.grid_points must be odd and >= 3")
+        if _as_float(cfg, "numeric.theta_max") < _as_float(cfg, "numeric.theta_min"):
+            raise ConfigError("numeric.theta_max must not be below numeric.theta_min")
     else:
         gammas = _as_floats(cfg, "physics.gamma")
         if not gammas:
             raise ConfigError("physics.gamma must list at least one value")
+        if len(set(gammas)) != len(gammas):
+            raise ConfigError("physics.gamma lists a value twice; each value names its own output file")
         cfg["physics.gamma"] = ",".join(_fmt(g) for g in gammas)
         if _as_float(cfg, "physics.decay_rate") <= 0:
             raise ConfigError("physics.decay_rate must be positive for the fig3 time axis")
@@ -226,33 +211,18 @@ def run_fig1(cfg: dict[str, str]) -> dict:
     # curves depend on the dimensionless angle theta = gamma*t only, so
     # the sweep runs at unit coupling with t = theta
     state = FockPairState(k, ell, _params(cfg, gamma=1.0))
-    rule_info = gauss_hermite(_as_int(cfg, "numeric.nodes"))
-    rule_neg = gauss_hermite(_as_int(cfg, "numeric.negativity_nodes"))
-    grid = PhaseSpaceGrid(_as_float(cfg, "numeric.grid_extent"), _as_int(cfg, "numeric.grid_points"))
     lo = _as_float(cfg, "numeric.theta_min")
     hi = _as_float(cfg, "numeric.theta_max")
     step = _as_float(cfg, "numeric.theta_step")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     thetas = lo + step * np.arange(count)
-    reltol = _as_float(cfg, "numeric.reltol")
-    abstol = _as_float(cfg, "numeric.abstol")
-    cap = _as_int(cfg, "numeric.grid_cap")
-    mi = np.empty(count)
-    neg1 = np.empty(count)
-    neg2 = np.empty(count)
-    for i, theta in enumerate(thetas):
-        try:
-            mi[i] = mutual_information(state, theta, rule_info)
-            neg1[i] = negativity(marginal_field(state, theta, 1, rule_neg), grid, reltol, abstol, cap)
-            neg2[i] = negativity(marginal_field(state, theta, 2, rule_neg), grid, reltol, abstol, cap)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"theta = {theta:.6g}: {exc}") from exc
+    probs = mode_populations(state, thetas)
     return {
         "columns": {
             "theta": thetas,
-            "mutual_information": mi,
-            "negativity_mode1": neg1,
-            "negativity_mode2": neg2,
+            "mutual_information": mutual_information(state, thetas),
+            "negativity_mode1": negativity(probs),
+            "negativity_mode2": negativity(probs[:, ::-1]),
         },
     }
 
@@ -385,11 +355,8 @@ def run_query(quantity: str, params: dict[str, str]) -> str:
             mass=_as_float(cfg, "mass"), omega=_as_float(cfg, "omega"),
             hbar=_as_float(cfg, "hbar"), gamma=1.0,
         )
-        state = FockPairState(k, ell, osc)
-        field = marginal_field(state, _as_float(cfg, "theta"), _as_int(cfg, "mode"),
-                               gauss_hermite(k + ell + 2))
-        grid = PhaseSpaceGrid(6.0 * math.sqrt(osc.hbar * (2 * (k + ell) + 1)), 257)
-        return f"{negativity(field, grid):.12g}"
+        probs = mode_populations(FockPairState(k, ell, osc), _as_float(cfg, "theta"), _as_int(cfg, "mode"))
+        return f"{negativity(probs):.12g}"
     raise ConfigError(f"unknown query quantity {quantity!r}")
 
 
@@ -415,8 +382,9 @@ def _run_experiment(args) -> int:
         print(out)
         return 0
     gammas = _as_floats(cfg, "physics.gamma")
+    # shortest round-trip form, so distinct values (rejected if repeated) never share a file
     targets = [out] if len(gammas) == 1 else [
-        _with_suffix(out, f"_gamma{g:g}") for g in gammas
+        _with_suffix(out, "_gamma" + repr(g).removesuffix(".0")) for g in gammas
     ]
     for gamma, target in zip(gammas, targets):
         result = run_fig3(cfg, gamma)
@@ -461,7 +429,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, UnphysicalStateError) as exc:
+    except UnphysicalStateError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

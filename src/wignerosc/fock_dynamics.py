@@ -18,9 +18,10 @@ with the total excitation number, so everything stays exactly solvable:
   number-state Wigner functions are circularly symmetric in their own
   plane, so it is invisible in every evaluated quantity.
 
-Single-mode marginals of the evolving pair are Gaussian envelopes times
-polynomials, so integrating out one mode is done exactly with
-Gauss-Hermite rules after a change of variables absorbs the envelope.
+Each single-mode marginal of the evolving pair is the Wigner function of
+a state diagonal in the number basis.  Its populations follow from one
+eigendecomposition in the block of k + l quanta, so the marginals take a
+closed form with no integration.
 """
 
 from __future__ import annotations
@@ -30,27 +31,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureRule, gauss_hermite, laguerre
+from .quadrature import laguerre, laguerre_table
 
 __all__ = [
     "FockPairState",
-    "InsufficientNodesError",
     "OscillatorParams",
     "PhasePoint",
     "classical_trajectory",
-    "default_rule",
     "energy",
     "envelope_rates",
     "evolved_wigner",
     "hamiltonian_symbol",
-    "marginal_profile",
     "marginal_wigner",
+    "mode_populations",
+    "radial_profile",
     "stationary_wigner",
 ]
-
-
-class InsufficientNodesError(ValueError):
-    """Quadrature rule too short to integrate the marginal exactly."""
 
 
 @dataclass(frozen=True)
@@ -134,15 +130,6 @@ def envelope_rates(params: OscillatorParams) -> tuple[float, float]:
     a_q = params.alpha / (params.beta * params.hbar)
     a_p = params.beta / (params.alpha * params.hbar)
     return a_q, a_p
-
-
-def default_rule(k: int, ell: int) -> QuadratureRule:
-    """Gauss-Hermite rule exact for marginals and purities of |k> x |l>.
-
-    Purity integrands reach polynomial degree 4(k+l); 2(k+l)+1 nodes keep
-    them inside the exactness window, with a floor of 8 nodes.
-    """
-    return gauss_hermite(max(8, k + ell + 4, 2 * (k + ell) + 1))
 
 
 def energy(n1: int, n2: int, params: OscillatorParams) -> float:
@@ -230,64 +217,51 @@ def evolved_wigner(state: FockPairState, point, t: float):
     return norm * np.exp(-r2) * laguerre(state.k, 2 * rho1) * laguerre(state.ell, 2 * rho2)
 
 
-def marginal_profile(state: FockPairState, t: float, mode: int, q, p, rule: QuadratureRule):
-    """Polynomial factor of the single-mode marginal: W_mode * exp(+a_q q^2 + a_p p^2).
+def mode_populations(state: FockPairState, t, mode: int = 1) -> np.ndarray:
+    """Number-state populations P_j, j = 0..k+l, of one mode at time(s) t.
 
-    This is the marginal with its Gaussian envelope divided out, evaluated
-    without ever forming the envelope, so it stays finite at large
-    arguments where the marginal itself underflows.  The integration over
-    the discarded mode is a Gauss-Hermite sum and is exact once the rule
-    has at least k + l + 1 nodes.
+    The coupling keeps the pair in the block of N = k + l quanta.  In the
+    basis |j, N-j> its generator is, up to phases, the real tridiagonal
+    matrix with off-diagonals sqrt((j+1)(N-j)), so one eigendecomposition
+    V diag(lambda) V^T gives the amplitudes (V e^{-i lambda theta} V^T)[j, k]
+    at every mixing angle theta = gamma*t at once (Campos, Saleh & Teich,
+    PRA 40, 1371, 1989).  Mode 2 holds N - j quanta when mode 1 holds j,
+    so its populations are mode 1's reversed.  The result has t's shape
+    plus a trailing axis of length N + 1.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    if rule.kind != "gauss-hermite":
-        raise ValueError("marginalization needs a gauss-hermite rule")
-    needed = state.k + state.ell + 2
-    if len(rule) < needed:
-        raise InsufficientNodesError(
-            f"rule has {len(rule)} nodes, need >= {needed} for (k, l) = "
-            f"({state.k}, {state.ell}); fewer would silently lose polynomial degree"
-        )
-    params = state.params
-    a_q, a_p = envelope_rates(params)
-    x = np.sqrt(a_q) * np.asarray(q, dtype=float)
-    y = np.sqrt(a_p) * np.asarray(p, dtype=float)
-    theta = params.gamma * t
-    c, s = math.cos(theta), math.sin(theta)
-    nodes, weights = rule.nodes, rule.weights
-    k, ell = state.k, state.ell
-    acc = np.zeros(np.broadcast(x, y).shape)
-    for xn, wx in zip(nodes, weights):
-        if mode == 1:
-            dx1 = (c * x - s * xn) ** 2
-            dx2 = (s * x + c * xn) ** 2
-        else:
-            dx1 = (c * xn - s * x) ** 2
-            dx2 = (s * xn + c * x) ** 2
-        for yn, wy in zip(nodes, weights):
-            if mode == 1:
-                rho1 = dx1 + (c * y - s * yn) ** 2
-                rho2 = dx2 + (s * y + c * yn) ** 2
-            else:
-                rho1 = dx1 + (c * yn - s * y) ** 2
-                rho2 = dx2 + (s * yn + c * y) ** 2
-            term = laguerre(k, 2 * rho1)
-            if ell:
-                term = term * laguerre(ell, 2 * rho2)
-            acc += (wx * wy) * term
-    sign = -1.0 if (k + ell) % 2 else 1.0
-    # hbar = Jacobian of the integrated pair; one (pi*hbar) cancels with it
-    pref = sign / (math.pi**2 * params.hbar)
-    return pref * acc
+    theta = state.params.gamma * np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("time must be finite")
+    total = int(state.k + state.ell)
+    j = np.arange(total)
+    off = np.sqrt((j + 1.0) * (total - j))
+    lam, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    amps = (np.exp(-1j * theta[..., None] * lam) * vec[int(state.k)]) @ vec.T
+    probs = amps.real**2 + amps.imag**2
+    return probs if mode == 1 else probs[..., ::-1]
 
 
-def marginal_wigner(state: FockPairState, t: float, mode: int, point, rule: QuadratureRule):
+def radial_profile(populations, s, hbar: float = 1.0):
+    """sum_j (-1)^j P_j L_j(2s) / (pi hbar) at the scaled squared radius s.
+
+    The Wigner function of the number-diagonal state sum_j P_j |j><j| is
+    this profile times its envelope exp(-s), with s = a_q q^2 + a_p p^2.
+    """
+    probs = np.asarray(populations, dtype=float)
+    signs = (-1.0) ** np.arange(probs.size)
+    table = laguerre_table(probs.size - 1, 2.0 * np.asarray(s, dtype=float))
+    return np.tensordot(signs * probs, table, axes=1) / (math.pi * hbar)
+
+
+def marginal_wigner(state: FockPairState, t: float, mode: int, point):
     """Single-mode marginal W_mode(q, p) of the evolving pair at time t."""
     q, p = point
     a_q, a_p = envelope_rates(state.params)
-    x = np.sqrt(a_q) * np.asarray(q, dtype=float)
-    y = np.sqrt(a_p) * np.asarray(p, dtype=float)
-    profile = marginal_profile(state, t, mode, q, p, rule)
-    out = np.exp(-(x * x + y * y)) * profile
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    s = a_q * q * q + a_p * p * p
+    probs = mode_populations(state, t, mode)
+    out = np.exp(-s) * radial_profile(probs, s, state.params.hbar)
     return float(out) if np.ndim(out) == 0 else out

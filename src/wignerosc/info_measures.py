@@ -9,9 +9,9 @@ A :class:`WignerField` bundles an evaluator with the Gaussian envelope it
 decays under.  Every field produced here writes W = profile * exp(-sum_i
 a_i z_i^2) with the profile computed in a numerically safe form, which
 lets the quadratic functionals above be evaluated by Gauss-Hermite rules
-exactly (polynomial profiles) or to machine accuracy.  Negativity cannot
-use a weighted rule (|W| is not smooth), so it runs on uniform grids with
-a step-halving protocol.
+exactly (polynomial profiles) or to machine accuracy.  For the number-state
+pair the mutual information and the negativity need no integration at all:
+both follow in closed form from the single-mode populations.
 """
 
 from __future__ import annotations
@@ -24,18 +24,10 @@ import numpy as np
 
 from . import fock_dynamics as fd
 from . import gaussian_states as gs
-from .quadrature import (
-    ConvergenceError,
-    PhaseSpaceGrid,
-    QuadratureRule,
-    gauss_hermite,
-    integrate_grid,
-    laguerre,
-)
+from .quadrature import QuadratureRule, gauss_hermite, laguerre, laguerre_table
 
 __all__ = [
     "WignerField",
-    "default_negativity_grid",
     "eigenstate_field",
     "expectation_value",
     "gaussian_field",
@@ -46,19 +38,6 @@ __all__ = [
     "normalization",
     "pair_field",
 ]
-
-NEGATIVITY_POINT_CAP = 1025
-# Step-halving acceptance pair.  Trapezoid sums over the kinked |W| gain
-# roughly a decimal digit per halving, so within the point cap the loop
-# can certify ~1e-4 absolute agreement (measured error at acceptance is
-# a few 1e-5); a 1e-6 relative target is unreachable before the cap.
-NEGATIVITY_RELTOL = 5e-4
-NEGATIVITY_ABSTOL = 2e-4
-# Radial fast path disabled above this occupation degree: the fit samples
-# grow like s^degree across the window, and past this point their roundoff
-# would leak ~1e-9 noise into the interpolant.
-_RADIAL_DEGREE_CAP = 4
-
 
 @dataclass(frozen=True)
 class WignerField:
@@ -147,56 +126,29 @@ def eigenstate_field(n1: int, n2: int, params: fd.OscillatorParams) -> WignerFie
     )
 
 
-def marginal_field(
-    state: fd.FockPairState, t: float, mode: int, rule: QuadratureRule | None = None
-) -> WignerField:
+def marginal_field(state: fd.FockPairState, t: float, mode: int) -> WignerField:
     """Single-mode marginal of the evolving pair as a field.
 
-    The marginal depends on (q, p) only through s = a_q q^2 + a_p p^2 (a
-    rotation of the scaled single-mode plane rotates the integrated pair
-    of coordinates the same way and leaves the quadrature invariant), and
-    its profile is a polynomial in s of degree k + l.  For moderate
-    degrees the field therefore interpolates that polynomial once from
-    k + l + 1 quadrature evaluations and reuses it, which makes dense
-    grid sampling cheap; the interpolation is an exact polynomial
-    identity, not an approximation.
+    The marginal is the Wigner function of the mode's number-diagonal
+    state, so its profile is the Laguerre series of
+    :func:`fock_dynamics.radial_profile` in s = a_q q^2 + a_p p^2, a
+    polynomial of degree k + l in s.
     """
-    if rule is None:
-        rule = fd.default_rule(state.k, state.ell)
     a_q, a_p = fd.envelope_rates(state.params)
-    degree = state.k + state.ell
+    probs = fd.mode_populations(state, t, mode)
 
-    if degree <= _RADIAL_DEGREE_CAP:
-        s_hi = 2.0 * (degree + 2)
-        s_nodes = 0.5 * s_hi * (np.polynomial.chebyshev.chebpts1(degree + 1) + 1.0)
-        samples = fd.marginal_profile(
-            state, t, mode, np.sqrt(s_nodes / a_q), np.zeros_like(s_nodes), rule
-        )
-        coeffs = np.polynomial.chebyshev.chebfit(s_nodes, samples, degree)
-
-        def profile(q, p):
-            q = np.asarray(q, float)
-            p = np.asarray(p, float)
-            s = a_q * q * q + a_p * p * p
-            return np.polynomial.chebyshev.chebval(s, coeffs)
-
-    else:
-
-        def profile(q, p):
-            return fd.marginal_profile(state, t, mode, q, p, rule)
-
-    def evaluator(q, p):
+    def profile(q, p):
         q = np.asarray(q, float)
         p = np.asarray(p, float)
-        return np.exp(-(a_q * q * q + a_p * p * p)) * profile(q, p)
+        return fd.radial_profile(probs, a_q * q * q + a_p * p * p, state.params.hbar)
 
     return WignerField(
-        evaluator=evaluator,
+        evaluator=lambda q, p: fd.marginal_wigner(state, t, mode, (q, p)),
         mode_count=1,
         hbar=state.params.hbar,
         envelope_rates=(a_q, a_p),
         profile=profile,
-        profile_degree=2 * degree,
+        profile_degree=2 * (state.k + state.ell),
     )
 
 
@@ -330,83 +282,113 @@ def _reduced_field(field: WignerField, mode: int, rule: QuadratureRule) -> Wigne
     )
 
 
-def mutual_information(state, t: float = 0.0, rule: QuadratureRule | None = None) -> float:
+def mutual_information(state, t=0.0, rule: QuadratureRule | None = None):
     """S(W_1) + S(W_2) - S(W) between the two modes.
 
-    Accepts the evolving number-state pair or any two-mode field with an
-    envelope.  Zero for product states; nonnegative whenever the joint
-    state is pure.
+    For the evolving number-state pair the joint state is pure and both
+    marginals carry the same populations, so this is exactly
+    2 (1 - sum_j P_j^2) = 4 sum_{i<j} P_i P_j; t may then be an array of
+    times.  The pair sum has no cancellation near product states and is
+    never negative.  Any two-mode field with an envelope is reduced by
+    Gauss-Hermite quadrature instead.  Zero for product states.
     """
     if isinstance(state, fd.FockPairState):
-        if rule is None:
-            rule = fd.default_rule(state.k, state.ell)
-        joint = pair_field(state, t)
-        parts = [marginal_field(state, t, mode, rule) for mode in (1, 2)]
-    elif isinstance(state, WignerField):
-        if state.mode_count != 2:
-            raise ValueError("mutual information needs a two-mode state")
-        if rule is None:
-            rule = _auto_rule(state, squared=True)
-        joint = state
-        parts = [_reduced_field(state, mode, rule) for mode in (1, 2)]
-    else:
+        probs = fd.mode_populations(state, t)
+        below = np.cumsum(probs, axis=-1)[..., :-1]  # sum_{i<j} P_i for j = 1..N
+        info = 4.0 * np.sum(probs[..., 1:] * below, axis=-1)
+        return float(info) if info.ndim == 0 else info
+    if not isinstance(state, WignerField):
         raise TypeError(f"unsupported state type {type(state).__name__}")
+    if state.mode_count != 2:
+        raise ValueError("mutual information needs a two-mode state")
+    if rule is None:
+        rule = _auto_rule(state, squared=True)
+    parts = [_reduced_field(state, mode, rule) for mode in (1, 2)]
     return (
         linear_entropy(parts[0], rule)
         + linear_entropy(parts[1], rule)
-        - linear_entropy(joint, rule)
+        - linear_entropy(state, rule)
     )
 
 
-def default_negativity_grid(k: int, ell: int, hbar: float = 1.0, points: int = 257) -> PhaseSpaceGrid:
-    """Starting grid for negativity: extent 6*sqrt(hbar*(2(k+l)+1)).
+_SCAN_BUDGET = 1 << 20  # scan values of f held at once by negativity
 
-    Covers the classical turning region of the highest occupied level with
-    Gaussian tails below 1e-15.
+
+def _scaled_table(n: int, v: np.ndarray) -> np.ndarray:
+    """e^{-v/2} L_j(v) for j = 0..n; every entry lies in [-1, 1] for v >= 0."""
+    return laguerre_table(n, v) * np.exp(-0.5 * v)
+
+
+def _series(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[b, j] e^{-v_b/2} L_j(v_b) for each row b."""
+    return np.einsum("bj,jb->b", coeffs, _scaled_table(coeffs.shape[1] - 1, v))
+
+
+def negativity(populations):
+    """integral(|W|) - integral(W) >= 0 of the single-mode state sum_j P_j |j><j|.
+
+    populations is one vector P_0..P_N or a 2-d array with one vector per
+    row (a float or an array of values is returned).  Every marginal of the
+    rotated pair is such a state (:func:`fock_dynamics.mode_populations`).
+
+    With v = 2 (a_q q^2 + a_p p^2), integral(W) = int_0^inf f(v) dv / 2 for
+    f = e^{-v/2} Q(v), Q = sum_j (-1)^j P_j L_j(v).  The negativity, twice
+    the weight of W's negative part, is therefore the integral of |f| where
+    f < 0.  The tail T(x) = int_x^inf f dv is again a Laguerre series,
+    T = 2 sum_j (-1)^j (P_j + 2 sum_{i>j} P_i) e^{-x/2} L_j(x) (Kenfack &
+    Zyczkowski, J. Opt. B 6, 396, 2004).  Over the cuts c = 0, the roots
+    of f in increasing order, and infinity, the negativity is
+    sum_i max(0, T(c_{i+1}) - T(c_i)), with no quadrature.
+
+    The roots are bracketed by the sign changes of f on a scan of
+    [0, 4N+6+12 sqrt(N+1)], past the largest root, that is uniform in
+    sqrt(v) because the roots crowd the origin; one vectorized bisection
+    refines them all.  A root error d moves T by O(d^2), so the result is
+    exact to rounding unless two roots share one scan cell, whose lobe is
+    then missed.  Rows are processed in chunks of at most _SCAN_BUDGET scan
+    values, so memory does not grow with the number of rows.
     """
-    return PhaseSpaceGrid(6.0 * math.sqrt(hbar * (2 * (k + ell) + 1)), points, dim=2)
+    probs = np.asarray(populations, dtype=float)
+    if probs.ndim not in (1, 2) or probs.shape[-1] == 0:
+        raise ValueError("populations must be a nonempty vector or a 2-d array of vectors")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("populations must be finite")
+    rows = np.atleast_2d(probs)
+    n = rows.shape[1] - 1
+    v = np.linspace(0.0, math.sqrt(4 * n + 6 + 12 * math.sqrt(n + 1)), 64 * (n + 1) + 257) ** 2
+    chunk = max(1, _SCAN_BUDGET // v.size)
+    if rows.shape[0] > chunk:
+        return np.concatenate([negativity(rows[i : i + chunk]) for i in range(0, rows.shape[0], chunk)])
+    signs = (-1.0) ** np.arange(n + 1)
+    f_coeffs = signs * rows
+    tail = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]  # sum_{i>=j} P_i
+    tail_coeffs = 2.0 * signs * (2.0 * tail - rows)
 
+    below = f_coeffs @ _scaled_table(n, v) < 0.0
+    which, cell = np.nonzero(below[:, :-1] != below[:, 1:])
+    lo, hi = v[cell], v[cell + 1]
+    lo_below = below[which, cell]
+    coeffs = f_coeffs[which]
+    # brackets start at most 0.2 wide in v; 40 halvings leave under 2e-13
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo_side = (_series(coeffs, mid) < 0.0) == lo_below
+        lo = np.where(lo_side, mid, lo)
+        hi = np.where(lo_side, hi, mid)
+    at_root = _series(tail_coeffs[which], 0.5 * (lo + hi))
 
-def negativity(
-    field: WignerField,
-    grid: PhaseSpaceGrid,
-    reltol: float = NEGATIVITY_RELTOL,
-    abstol: float = NEGATIVITY_ABSTOL,
-    point_cap: int = NEGATIVITY_POINT_CAP,
-) -> float:
-    """integral(|W|) - integral(W) >= 0 of a single-mode field.
-
-    Evaluated on the grid by the trapezoid rule, halving the step until
-    two successive refinements agree within max(reltol*|value|, abstol).
-    Raises ConvergenceError if the point cap is hit first.  Roundoff
-    negatives in [-1e-9, 0) are clamped to zero.
-    """
-    if field.mode_count != 1:
-        raise ValueError("negativity is defined for single-mode fields")
-    if grid.dim != 2:
-        raise ValueError("negativity needs a two-dimensional grid")
-    current = grid
-    previous = None
-    while True:
-        ax = current.axis()
-        vals = np.asarray(field(ax[:, None], ax[None, :]), dtype=float)
-        value = integrate_grid(np.abs(vals), current) - integrate_grid(vals, current)
-        if previous is not None and abs(value - previous) <= max(reltol * abs(value), abstol):
-            break
-        if 2 * current.points - 1 > point_cap:
-            detail = (
-                f"last change {abs(value - previous):.2e}"
-                if previous is not None
-                else "cap below the first refinement"
-            )
-            raise ConvergenceError(
-                f"negativity did not settle within the {point_cap}-point cap ({detail})"
-            )
-        previous = value
-        current = current.refined()
-    if -1e-9 <= value < 0.0:
-        return 0.0
-    return value
+    at_zero = tail_coeffs.sum(axis=1)  # every L_j(0) = 1
+    first = np.ones(which.size, dtype=bool)
+    first[1:] = which[1:] != which[:-1]
+    last = np.ones(which.size, dtype=bool)
+    last[:-1] = first[1:]
+    before = np.empty_like(at_root)
+    before[1:] = at_root[:-1]
+    before[first] = at_zero[which[first]]
+    out = np.zeros(rows.shape[0])
+    np.add.at(out, which, np.maximum(at_root - before, 0.0))
+    out[which[last]] += np.maximum(-at_root[last], 0.0)  # last root to infinity, T(inf) = 0
+    return float(out[0]) if probs.ndim == 1 else out
 
 
 def expectation_value(field: WignerField, observable: Callable, rule: QuadratureRule | None = None) -> float:

@@ -1,12 +1,9 @@
 """Integration kernels shared by the physics modules.
 
-Two kinds of integrals occur throughout: Gaussian-weighted integrals of
-polynomials (normalizations, purities, expectation values), which
-Gauss-Hermite rules handle exactly, and integrals of |W| (negativity),
-which are not polynomial-times-Gaussian and go through uniform trapezoid
-grids with a refinement protocol.  Laguerre polynomials, the radial
-profile of every number-state Wigner function, are evaluated here by the
-stable three-term recurrence.
+Gaussian-weighted integrals of polynomials (normalizations, purities,
+expectation values) are exact under Gauss-Hermite rules.  Laguerre
+polynomials, the radial profile of every number-state Wigner function,
+are evaluated here by the stable three-term recurrence.
 """
 
 from __future__ import annotations
@@ -17,41 +14,48 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ConvergenceError",
     "GAUSS_HERMITE_MAX",
-    "PhaseSpaceGrid",
     "QuadratureRule",
     "gauss_hermite",
-    "integrate_grid",
     "laguerre",
+    "laguerre_table",
 ]
 
 GAUSS_HERMITE_MAX = 128
 
 
-class ConvergenceError(RuntimeError):
-    """Grid refinement hit its cap without meeting the tolerance."""
+def _laguerre_orders(n: int, x: np.ndarray):
+    """Yield L_0(x), ..., L_n(x) by (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}."""
+    if n < 0:
+        raise ValueError(f"polynomial order must be nonnegative, got {n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("laguerre argument must be finite")
+    prev = np.ones_like(x)
+    yield prev
+    if n == 0:
+        return
+    cur = 1.0 - x
+    yield cur
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+        yield cur
 
 
 def laguerre(n: int, x):
     """Evaluate the Laguerre polynomial L_n(x).
 
-    Uses the recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}, stable
-    for the moderate orders needed here.  Vectorized in x; scalar input
-    returns a float.
+    The recurrence is stable for the moderate orders needed here.
+    Vectorized in x; scalar input returns a float.
     """
-    if n < 0:
-        raise ValueError(f"polynomial order must be nonnegative, got {n}")
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("laguerre argument must be finite")
-    prev = np.ones_like(arr)
-    if n == 0:
-        return float(prev) if arr.ndim == 0 else prev
-    cur = 1.0 - arr
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - arr) * cur - k * prev) / (k + 1)
-    return float(cur) if arr.ndim == 0 else cur
+    for value in _laguerre_orders(n, arr):
+        pass
+    return float(value) if arr.ndim == 0 else value
+
+
+def laguerre_table(n: int, x) -> np.ndarray:
+    """L_0(x), ..., L_n(x) stacked along a new leading axis of length n + 1."""
+    return np.stack(list(_laguerre_orders(n, np.asarray(x, dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str = "gauss-hermite"
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
@@ -71,8 +74,6 @@ class QuadratureRule:
             raise ValueError("nodes must be strictly increasing")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
-        if self.kind not in ("gauss-hermite", "uniform-trapezoid"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
 
     def __len__(self) -> int:
         return self.nodes.size
@@ -118,58 +119,3 @@ def gauss_hermite(n: int) -> QuadratureRule:
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
     return QuadratureRule(nodes, weights)
-
-
-@dataclass(frozen=True)
-class PhaseSpaceGrid:
-    """Uniform grid on [-extent, extent]^dim with an odd point count.
-
-    Odd counts keep the phase-space origin on the grid, where the extrema
-    of number-state Wigner functions sit; sampling it avoids a systematic
-    bias in negativity integrals.
-    """
-
-    extent: float
-    points: int
-    dim: int = 2
-
-    def __post_init__(self):
-        if not (self.extent > 0 and math.isfinite(self.extent)):
-            raise ValueError("extent must be positive and finite")
-        if self.dim not in (2, 4):
-            raise ValueError("grid dimension must be 2 or 4")
-        if self.points < 3 or self.points % 2 == 0:
-            raise ValueError("point count must be odd and >= 3")
-
-    @property
-    def step(self) -> float:
-        return 2.0 * self.extent / (self.points - 1)
-
-    @property
-    def cell_volume(self) -> float:
-        return self.step**self.dim
-
-    def axis(self) -> np.ndarray:
-        return np.linspace(-self.extent, self.extent, self.points)
-
-    def refined(self) -> "PhaseSpaceGrid":
-        """Grid with halved spacing; the old nodes are a subset of the new."""
-        return PhaseSpaceGrid(self.extent, 2 * self.points - 1, self.dim)
-
-
-def integrate_grid(samples, grid: PhaseSpaceGrid) -> float:
-    """Trapezoid-rule integral of samples laid out on grid.
-
-    samples must have shape (points,)*dim in axis order matching
-    meshgrid(..., indexing="ij") over grid.axis().
-    """
-    arr = np.asarray(samples, dtype=float)
-    expected = (grid.points,) * grid.dim
-    if arr.shape != expected:
-        raise ValueError(f"samples shape {arr.shape} does not match grid {expected}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples must be finite")
-    out = arr
-    for _ in range(grid.dim):
-        out = np.trapezoid(out, dx=grid.step, axis=-1)
-    return float(out)

