@@ -2,7 +2,7 @@
 
 Three subcommands: ``fig1`` sweeps the mixing angle and tabulates mutual
 information and both single-mode negativities for a number-state pair;
-``fig3`` integrates the coupled dissipative dynamics and tabulates the
+``fig3`` propagates the coupled dissipative dynamics and tabulates the
 reduced-mode fidelity and normalized coherence, with the detected
 backflow intervals in a summary block; ``query`` prints a single number
 (energy eigenvalue, Gaussian fidelity, coherence, or a marginal
@@ -249,7 +249,7 @@ def _fig3_initial_state(cfg: dict[str, str]) -> GaussianState:
 
 
 def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
-    """Integrate one coupled dissipative run and tabulate the witnesses."""
+    """Propagate one coupled dissipative run and tabulate the witnesses."""
     rate = _as_float(cfg, "physics.decay_rate")
     bath = ThermalBath(rate, _as_float(cfg, "physics.mbar"))
     initial = _fig3_initial_state(cfg)

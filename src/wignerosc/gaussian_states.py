@@ -23,11 +23,14 @@ __all__ = [
     "fidelity",
     "gaussian_wigner",
     "mean_photon",
+    "moment_coherence",
+    "moment_fidelity",
     "reduce_mode",
     "state_from_record",
     "state_to_record",
     "symplectic_nu",
     "thermal_state",
+    "validate_moments",
 ]
 
 PHYSICALITY_SLACK = 1e-9
@@ -54,23 +57,9 @@ class GaussianState:
             raise ValueError("mean must have length 2 or 4")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"covariance shape {cov.shape} does not match mean length {mean.size}")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise ValueError("moments must be finite")
-        if np.max(np.abs(cov - cov.T)) > 1e-12 * max(1.0, np.max(np.abs(cov))):
-            raise ValueError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance must be positive definite") from None
+        cov = validate_moments(mean[None], cov[None], self.hbar)[0]
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        for mode in range(1, mean.size // 2 + 1):
-            nu = symplectic_nu(self, mode)
-            if nu < self.hbar * (1.0 - PHYSICALITY_SLACK):
-                raise UnphysicalStateError(
-                    f"mode {mode} has nu = {nu:.6g} < hbar = {self.hbar:.6g}"
-                )
 
     @property
     def modes(self) -> int:
@@ -94,15 +83,49 @@ class ThermalBath:
             raise ValueError("mean occupation must be nonnegative and finite")
 
 
+def _det2(blocks):
+    """Determinants of 2x2 matrices stacked along the leading axes."""
+    return blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] * blocks[..., 1, 0]
+
+
+def validate_moments(means, covs, hbar: float, times=None) -> np.ndarray:
+    """GaussianState's checks over stacks (n, 2N) and (n, 2N, 2N); returns covs symmetrized.
+
+    Moments finite, covariances symmetric to 1e-12 relative and positive
+    definite, every mode at nu >= hbar (1 - PHYSICALITY_SLACK).  Errors name
+    the first failing point, by its time when times is given."""
+
+    def fail(i, message, error=ValueError):
+        raise error(message + ("" if times is None else f" at t = {times[i]:.6g}"))
+
+    bad = ~(np.isfinite(means).all(axis=-1) & np.isfinite(covs).all(axis=(-2, -1)))
+    if bad.any():
+        fail(np.argmax(bad), "moments must be finite")
+    transposed = np.swapaxes(covs, -1, -2)
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+    bad = np.abs(covs - transposed).max(axis=(-2, -1)) > 1e-12 * scale
+    if bad.any():
+        fail(np.argmax(bad), "covariance must be symmetric")
+    covs = 0.5 * (covs + transposed)
+    try:
+        np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:  # named: the first point with an eigenvalue <= 0
+        fail(np.argmax(np.linalg.eigvalsh(covs)[..., 0] <= 0), "covariance must be positive definite")
+    blocks = np.stack([covs[..., i : i + 2, i : i + 2] for i in range(0, covs.shape[-1], 2)], axis=-3)
+    nus = np.sqrt(np.maximum(_det2(blocks), 0.0))  # (n, modes)
+    low = nus < hbar * (1.0 - PHYSICALITY_SLACK)
+    if low.any():
+        i, mode = np.argwhere(low)[0]  # row-major: the first failing point, then its first failing mode
+        fail(i, f"mode {mode + 1} has nu = {nus[i, mode]:.6g} < hbar = {hbar:.6g}", UnphysicalStateError)
+    return covs
+
+
 def symplectic_nu(state: GaussianState, mode: int = 1) -> float:
     """Single-mode invariant nu = sqrt(s_qq * s_pp - s_qp^2) of one 2x2 block."""
-    cov = np.asarray(state.cov, dtype=float)
-    if not 1 <= mode <= cov.shape[0] // 2:
+    if not 1 <= mode <= state.modes:
         raise ValueError(f"invalid mode index {mode}")
     i = 2 * (mode - 1)
-    block = cov[i : i + 2, i : i + 2]
-    det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-    return math.sqrt(max(det, 0.0))
+    return math.sqrt(max(float(_det2(state.cov[i : i + 2, i : i + 2])), 0.0))
 
 
 def gaussian_wigner(state: GaussianState, *coords):
@@ -143,69 +166,69 @@ def reduce_mode(state: GaussianState, mode: int) -> GaussianState:
     return GaussianState(state.mean[i : i + 2], state.cov[i : i + 2, i : i + 2], state.hbar)
 
 
+def _photons(mean, cov):
+    value = 0.25 * (cov[..., 0, 0] + cov[..., 1, 1] + mean[..., 0] ** 2 + mean[..., 1] ** 2 - 2.0)
+    return np.where((value >= -1e-12) & (value < 0.0), 0.0, value)
+
+
 def mean_photon(state: GaussianState) -> float:
     """(sigma_11 + sigma_22 + d1^2 + d2^2 - 2) / 4 in vacuum units."""
     if state.modes != 1:
         raise ValueError("mean photon number is defined for single-mode states")
-    h = state.hbar
-    s = state.cov / h
-    d = state.mean / math.sqrt(h)
-    value = 0.25 * (s[0, 0] + s[1, 1] + d[0] ** 2 + d[1] ** 2 - 2.0)
-    return 0.0 if -1e-12 <= value < 0.0 else value
+    return float(_photons(state.mean / math.sqrt(state.hbar), state.cov / state.hbar))
+
+
+def moment_fidelity(mean1, cov1, mean2, cov2):
+    """Single-mode Gaussian fidelity in [0, 1] from moments in vacuum units, over leading axes.
+
+    F = 2 / (sqrt(Delta + delta) - sqrt(delta)) * exp(-d^T sigma_+^-1 d / 2)
+    with Delta = det(sigma_+), delta = (det sigma_1 - 1)(det sigma_2 - 1),
+    d the difference of the means and sigma_+ the sum of the covariances.
+    """
+    splus = cov1 + cov2
+    big_delta = _det2(splus)
+    small_delta = np.maximum((_det2(cov1) - 1.0) * (_det2(cov2) - 1.0), 0.0)  # 0 up to roundoff if pure
+    dd = np.asarray(mean1 - mean2)
+    quad = np.sum(dd * np.linalg.solve(splus, dd[..., None])[..., 0], axis=-1)
+    value = 2.0 / (np.sqrt(big_delta + small_delta) - np.sqrt(small_delta)) * np.exp(-0.5 * quad)
+    return np.clip(value, 0.0, 1.0)
 
 
 def fidelity(state1: GaussianState, state2: GaussianState) -> float:
-    """Overlap of two single-mode Gaussian states, in [0, 1].
-
-    F = 2 / (sqrt(Delta + delta) - sqrt(delta)) * exp(-d^T sigma_+^-1 d / 2)
-    with Delta = det(sigma_1 + sigma_2), delta = (det sigma_1 - 1) *
-    (det sigma_2 - 1), d the difference of the means and sigma_+ the sum
-    of the covariances, everything in vacuum units.
-    """
+    """Overlap of two single-mode Gaussian states, in [0, 1]; see :func:`moment_fidelity`."""
     if state1.modes != 1 or state2.modes != 1:
         raise ValueError("fidelity is implemented for single-mode states")
     if abs(state1.hbar - state2.hbar) > 1e-12:
         raise ValueError("states must share hbar")
-    h = state1.hbar
-    s1, s2 = state1.cov / h, state2.cov / h
-    splus = s1 + s2
-    big_delta = float(np.linalg.det(splus))
-    small_delta = (float(np.linalg.det(s1)) - 1.0) * (float(np.linalg.det(s2)) - 1.0)
-    small_delta = max(small_delta, 0.0)  # pure states hit 0 up to roundoff
-    dd = (state1.mean - state2.mean) / math.sqrt(h)
-    try:
-        solved = np.linalg.solve(splus, dd)
-    except np.linalg.LinAlgError:
-        raise ValueError("sum of covariances must be nonsingular") from None
-    value = 2.0 / (math.sqrt(big_delta + small_delta) - math.sqrt(small_delta))
-    value *= math.exp(-0.5 * float(dd @ solved))
-    return min(max(value, 0.0), 1.0)
+    h, root = state1.hbar, math.sqrt(state1.hbar)
+    return float(moment_fidelity(state1.mean / root, state1.cov / h, state2.mean / root, state2.cov / h))
 
 
-def _xlog2x(value: float) -> float:
-    return 0.0 if value <= 0.0 else value * math.log2(value)
+def _xlog2x(value):
+    value = np.asarray(value, dtype=float)
+    return value * np.log2(value, out=np.zeros_like(value), where=value > 0.0)
 
 
-def _thermal_entropy_bits(nbar: float) -> float:
+def _thermal_entropy_bits(nbar):
     return _xlog2x(nbar + 1.0) - _xlog2x(nbar)
 
 
-def coherence(state: GaussianState) -> float:
-    """Distance in bits from the closest thermal state, S(rho_th) - S(rho).
+def moment_coherence(mean, cov):
+    """Coherence in bits from single-mode moments in vacuum units, over leading axes.
 
-    The thermal reference has the state's mean photon number; the state
-    entropy depends only on nu.  Zero exactly for every thermal state and
-    nonnegative in general.
+    S(rho_th) - S(rho): the thermal reference has the state's mean photon
+    number, and the state entropy depends only on nu.
     """
+    nu = np.maximum(np.sqrt(np.maximum(_det2(cov), 0.0)), 1.0)
+    state_entropy = _xlog2x((nu + 1.0) / 2.0) - _xlog2x((nu - 1.0) / 2.0)
+    return np.maximum(_thermal_entropy_bits(_photons(mean, cov)) - state_entropy, 0.0)
+
+
+def coherence(state: GaussianState) -> float:
+    """Distance in bits from the closest thermal state, zero exactly for thermal states."""
     if state.modes != 1:
         raise ValueError("coherence is implemented for single-mode states")
-    nu = symplectic_nu(state) / state.hbar
-    if nu < 1.0 - 1e-9:
-        raise UnphysicalStateError(f"nu = {nu:.6g} < 1")
-    nu = max(nu, 1.0)
-    state_entropy = _xlog2x((nu + 1.0) / 2.0) - _xlog2x((nu - 1.0) / 2.0)
-    value = _thermal_entropy_bits(mean_photon(state)) - state_entropy
-    return max(value, 0.0)
+    return float(moment_coherence(state.mean / math.sqrt(state.hbar), state.cov / state.hbar))
 
 
 def state_to_record(state: GaussianState) -> dict:

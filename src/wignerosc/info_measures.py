@@ -288,14 +288,16 @@ def mutual_information(state, t=0.0, rule: QuadratureRule | None = None):
     For the evolving number-state pair the joint state is pure and both
     marginals carry the same populations, so this is exactly
     2 (1 - sum_j P_j^2) = 4 sum_{i<j} P_i P_j; t may then be an array of
-    times.  The pair sum has no cancellation near product states and is
-    never negative.  Any two-mode field with an envelope is reduced by
+    times.  The pair sum has no cancellation near product states, is never
+    negative and is capped at its maximum 2N/(N+1), which roundoff could
+    pass by an ulp.  Any two-mode field with an envelope is reduced by
     Gauss-Hermite quadrature instead.  Zero for product states.
     """
     if isinstance(state, fd.FockPairState):
         probs = fd.mode_populations(state, t)
         below = np.cumsum(probs, axis=-1)[..., :-1]  # sum_{i<j} P_i for j = 1..N
-        info = 4.0 * np.sum(probs[..., 1:] * below, axis=-1)
+        total = state.k + state.ell
+        info = np.minimum(4.0 * np.sum(probs[..., 1:] * below, axis=-1), 2.0 * total / (total + 1))
         return float(info) if info.ndim == 0 else info
     if not isinstance(state, WignerField):
         raise TypeError(f"unsupported state type {type(state).__name__}")

@@ -8,9 +8,10 @@ first moments and the covariance matrix,
     d' = A d,        sigma' = A sigma + sigma A^T + D,
 
 with A the Hamiltonian flow matrix plus -Gamma/2 on the mode-1 block and
-D = Gamma (2 mbar + 1) on that block.  With gamma = 0 the damped mode
-thermalizes in closed form, which doubles as the correctness oracle for
-the fixed-step integrator used in the coupled case.
+D = Gamma (2 mbar + 1) on that block.  A step Delta is exactly the map
+d -> Phi d, sigma -> Phi sigma Phi^T + Q with Phi = e^{A Delta}, so the
+coupled run has no discretization error; with gamma = 0 the damped mode
+thermalizes in closed form.
 
 The interesting diagnostics live on the reduced mode-1 state: its
 fidelity against the bath's asymptotic thermal state and its coherence.
@@ -30,12 +31,9 @@ from .fock_dynamics import OscillatorParams
 from .gaussian_states import (
     GaussianState,
     ThermalBath,
-    UnphysicalStateError,
-    coherence,
-    fidelity,
-    reduce_mode,
-    symplectic_nu,
-    thermal_state,
+    moment_coherence,
+    moment_fidelity,
+    validate_moments,
 )
 
 __all__ = [
@@ -47,37 +45,36 @@ __all__ = [
     "thermalize_closed_form",
 ]
 
-STEP_TARGET = 0.01  # integrator step cap in units of 1/omega and 1/Gamma
-PHYSICALITY_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class EvolutionRecord:
-    """Time series of a coupled dissipative run.
-
-    times are the requested grid; states hold the full two-mode Gaussian
-    state at each time; the tracks hold the reduced mode-1 fidelity to the
-    bath's asymptotic thermal state and the reduced mode-1 coherence;
-    backflow_intervals lists the maximal stretches where that fidelity
-    decreases.
-    """
+    """Time series of a coupled dissipative run: the two-mode moments
+    means (n, 4) and covs (n, 4, 4) at each time, the reduced mode-1
+    fidelity to the bath's asymptotic thermal state and coherence tracks,
+    and the maximal stretches where that fidelity decreases."""
 
     times: np.ndarray
-    states: list[GaussianState]
+    means: np.ndarray
+    covs: np.ndarray
     fidelity_track: np.ndarray
     coherence_track: np.ndarray
+    hbar: float = 1.0
     backflow_intervals: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "fidelity_track", np.asarray(self.fidelity_track, dtype=float))
-        object.__setattr__(self, "coherence_track", np.asarray(self.coherence_track, dtype=float))
-        if times.ndim != 1 or np.any(np.diff(times) <= 0):
+        for name in ("times", "means", "covs", "fidelity_track", "coherence_track"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-        n = times.size
-        if len(self.states) != n or self.fidelity_track.size != n or self.coherence_track.size != n:
-            raise ValueError("tracks and states must match the time grid length")
+        n = self.times.size
+        shapes = [a.shape for a in (self.means, self.covs, self.fidelity_track, self.coherence_track)]
+        if shapes != [(n, 4), (n, 4, 4), (n,), (n,)]:
+            raise ValueError("moments and tracks must hold one entry per time")
+
+    @property
+    def states(self) -> list[GaussianState]:
+        """The two-mode state at each time, built and validated on each access."""
+        return [GaussianState(d, s, self.hbar) for d, s in zip(self.means, self.covs)]
 
 
 def thermalize_closed_form(state: GaussianState, bath: ThermalBath, t: float) -> GaussianState:
@@ -107,106 +104,85 @@ def drift_and_diffusion(params: OscillatorParams, bath: ThermalBath) -> tuple[np
     p1' = -2 beta^2 q1 + gamma p2 and the mode-2 mirror images with the
     opposite coupling sign; the bath damps and diffuses mode 1 only.
     """
-    a2 = 2.0 * params.alpha**2
-    b2 = 2.0 * params.beta**2
-    g = params.gamma
-    drift = np.array(
-        [
-            [0.0, a2, g, 0.0],
-            [-b2, 0.0, 0.0, g],
-            [-g, 0.0, 0.0, a2],
-            [0.0, -g, -b2, 0.0],
-        ]
-    )
-    rate = bath.decay_rate
-    drift[0, 0] -= rate / 2.0
-    drift[1, 1] -= rate / 2.0
+    a2, b2, g = 2.0 * params.alpha**2, 2.0 * params.beta**2, params.gamma
+    damp = -bath.decay_rate / 2.0
+    drift = np.array([[damp, a2, g, 0.0], [-b2, damp, 0.0, g], [-g, 0.0, 0.0, a2], [0.0, -g, -b2, 0.0]])
     diffusion = np.zeros((4, 4))
-    diffusion[0, 0] = diffusion[1, 1] = rate * (2.0 * bath.mean_occupation + 1.0) * params.hbar
+    diffusion[0, 0] = diffusion[1, 1] = bath.decay_rate * (2.0 * bath.mean_occupation + 1.0) * params.hbar
     return drift, diffusion
 
 
-def _max_step(params: OscillatorParams, bath: ThermalBath) -> float:
-    candidates = [STEP_TARGET / params.omega]
-    if bath.decay_rate > 0:
-        candidates.append(STEP_TARGET / bath.decay_rate)
-    return min(candidates)
+def _step_map(drift: np.ndarray, diffusion: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact map (Phi, Q) of the moment equations over one step.
+
+    Van Loan's F = exp([[-A, D], [0, A^T]] delta) gives Phi = F22^T and
+    Q = Phi F12 at delta = step / 2^m, with ||block||_1 delta <= 1/2; then m
+    doublings (Phi, Q) -> (Phi^2, Phi Q Phi^T + Q) reach the step.  These
+    only add positive semidefinite terms, where one exponential over the
+    whole step would cancel a growing exp(-A step).
+    """
+    n = drift.shape[0]
+    block = np.block([[-drift, diffusion], [np.zeros_like(drift), drift.T]])
+    doublings = max(0, math.ceil(math.log2(2.0 * np.abs(block).sum(axis=0).max() * step)))
+    scaled = block * (step / 2.0**doublings)
+    total, term, order = np.eye(2 * n), np.eye(2 * n), 0
+    while True:  # Taylor terms shrink at least as 2^-k / k!, so one stops changing the sum
+        order += 1
+        term = term @ scaled / order
+        if np.array_equal(total + term, total):
+            break
+        total += term
+    phi = total[n:, n:].T
+    noise = phi @ total[:n, n:]
+    noise = 0.5 * (noise + noise.T)
+    for _ in range(doublings):
+        noise = phi @ noise @ phi.T + noise
+        phi = phi @ phi
+    return phi, noise
 
 
 def evolve_coupled(
-    initial: GaussianState,
-    params: OscillatorParams,
-    bath: ThermalBath,
-    t_grid,
-    max_step: float | None = None,
+    initial: GaussianState, params: OscillatorParams, bath: ThermalBath, t_grid
 ) -> EvolutionRecord:
-    """Integrate the coupled dissipative dynamics over the requested grid.
+    """Propagate the coupled dissipative dynamics exactly over the requested grid.
 
-    Classical fourth-order fixed stepping; each grid interval is split
-    into substeps no longer than min(0.01/omega, 0.01/Gamma).  At every
-    grid time the two-mode state is recorded along with the reduced
-    mode-1 fidelity to the reservoir's asymptotic thermal state and the
-    reduced mode-1 coherence.  Aborts if either reduced mode dips below
-    the vacuum uncertainty floor.
+    Each distinct spacing gets one step map, acting on (vec sigma, d, 1)
+    as a 21 x 21 matrix.  Every state must pass GaussianState's checks.
+    The tracks are the reduced mode-1 fidelity to the reservoir's
+    asymptotic thermal state and the reduced mode-1 coherence.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] != 0.0:
         raise ValueError("t_grid must be one-dimensional and start at 0")
-    if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0):
+    if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     if initial.modes != 2:
         raise ValueError("initial state must have two modes")
     if abs(initial.hbar - params.hbar) > 1e-12:
         raise ValueError("initial state and oscillator parameters disagree on hbar")
-    allowed = _max_step(params, bath)
-    if max_step is None:
-        max_step = allowed
-    elif max_step > allowed * (1.0 + 1e-12):
-        raise ValueError(f"step {max_step} exceeds the stability target {allowed}")
-    elif max_step <= 0:
-        raise ValueError("max_step must be positive")
 
     drift, diffusion = drift_and_diffusion(params, bath)
-    asymptote = thermal_state(bath.mean_occupation, initial.hbar)
+    steps, which = np.unique(np.diff(t_grid), return_inverse=True)
+    maps = []
+    for step in steps:
+        phi, noise = _step_map(drift, diffusion, float(step))
+        affine = np.zeros((21, 21))
+        affine[:16, :16] = np.kron(phi, phi)  # vec(Phi sigma Phi^T), row-major vec
+        affine[:16, 20] = noise.ravel()
+        affine[16:20, 16:20] = phi
+        affine[20, 20] = 1.0
+        maps.append(affine)
+    z = np.empty((t_grid.size, 21))
+    z[0] = np.concatenate((initial.cov.ravel(), initial.mean, [1.0]))
+    for i, k in enumerate(which.tolist(), start=1):
+        np.dot(maps[k], z[i - 1], out=z[i])
 
-    def derivative(d, sigma):
-        return drift @ d, drift @ sigma + sigma @ drift.T + diffusion
-
-    d = initial.mean.copy()
-    sigma = initial.cov.copy()
-
-    def record_point(t):
-        state = GaussianState(d, sigma, initial.hbar)
-        for mode in (1, 2):
-            if symplectic_nu(state, mode) < initial.hbar * (1.0 - PHYSICALITY_TOL):
-                raise UnphysicalStateError(f"mode {mode} unphysical at t = {t:.6g}")
-        part = reduce_mode(state, 1)
-        return state, fidelity(part, asymptote), coherence(part)
-
-    states = []
-    fid = np.empty(t_grid.size)
-    coh = np.empty(t_grid.size)
-    states_0, fid[0], coh[0] = record_point(t_grid[0])
-    states.append(states_0)
-    for idx in range(1, t_grid.size):
-        span = t_grid[idx] - t_grid[idx - 1]
-        substeps = max(1, math.ceil(span / max_step - 1e-12))
-        h = span / substeps
-        for _ in range(substeps):
-            k1d, k1s = derivative(d, sigma)
-            k2d, k2s = derivative(d + 0.5 * h * k1d, sigma + 0.5 * h * k1s)
-            k3d, k3s = derivative(d + 0.5 * h * k2d, sigma + 0.5 * h * k2s)
-            k4d, k4s = derivative(d + h * k3d, sigma + h * k3s)
-            d = d + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
-            sigma = sigma + (h / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
-        state, fid[idx], coh[idx] = record_point(t_grid[idx])
-        states.append(state)
+    hbar, means = initial.hbar, z[:, 16:20]
+    covs = validate_moments(means, z[:, :16].reshape(-1, 4, 4), hbar, t_grid)
+    d1, s1 = means[:, :2] / math.sqrt(hbar), covs[:, :2, :2] / hbar
+    fid = moment_fidelity(d1, s1, np.zeros(2), (2.0 * bath.mean_occupation + 1.0) * np.eye(2))
     return EvolutionRecord(
-        times=t_grid,
-        states=states,
-        fidelity_track=fid,
-        coherence_track=coh,
-        backflow_intervals=backflow_intervals(t_grid, fid),
+        t_grid, means, covs, fid, moment_coherence(d1, s1), hbar, backflow_intervals(t_grid, fid)
     )
 
 
@@ -215,20 +191,14 @@ def _monotone_violations(times, track, tol: float, rising: bool) -> list[tuple[f
     track = np.asarray(track, dtype=float)
     if times.shape != track.shape:
         raise ValueError("times and track must have equal length")
-    out: list[list[float]] = []
-    open_interval = None
-    for i in range(times.size - 1):
-        step = track[i + 1] - track[i]
-        hit = step > tol if rising else step < -tol
-        if hit:
-            if open_interval is None:
-                open_interval = [times[i], times[i + 1]]
-                out.append(open_interval)
-            else:
-                open_interval[1] = times[i + 1]
-        else:
-            open_interval = None
-    return [(float(a), float(b)) for a, b in out]
+    steps = np.diff(track)
+    hit = steps > tol if rising else steps < -tol
+    # a run of hits i = a..b-1 spans times[a]..times[b]
+    edges = np.diff(np.concatenate(([0], hit.astype(np.int8), [0])))
+    return [
+        (float(times[a]), float(times[b]))
+        for a, b in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
+    ]
 
 
 def backflow_intervals(times, fidelity_track, tol: float = 1e-9) -> list[tuple[float, float]]:

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the library's evaluation paths:
 occupation probabilities come from enumerating beam-splitter amplitudes
 in mpmath, negativities from 30-digit radial integrals split at the
-roots of the monomial-form profile, and purities and negativities from
-dense trapezoid grids.
+roots of the monomial-form profile, purities and negativities from
+dense trapezoid grids, Gaussian moments from fourth-order Runge-Kutta
+steps of the moment equations, steady states from a Kronecker solve of
+the Lyapunov equation, and one-step moment maps from scipy's expm.
 """
 
 from __future__ import annotations
@@ -175,3 +177,54 @@ def dense_grid_negativity(values_fn, extent: float, points: int) -> float:
     grid = PhaseSpaceGrid(extent, points)
     vals = _grid_values(values_fn, grid)
     return integrate_grid(np.abs(vals) - vals, grid)
+
+
+def rk4_moments(drift, diffusion, mean, cov, t_grid, max_step: float):
+    """Moments on t_grid from classical fourth-order Runge-Kutta steps.
+
+    Integrates d' = A d, sigma' = A sigma + sigma A^T + D, splitting each
+    grid interval into equal substeps no longer than max_step.  Returns
+    means (n, 4) and covariances (n, 4, 4).
+    """
+    d = np.array(mean, dtype=float)
+    sigma = np.array(cov, dtype=float)
+
+    def derivative(d, sigma):
+        return drift @ d, drift @ sigma + sigma @ drift.T + diffusion
+
+    means, covs = [d], [sigma]
+    for span in np.diff(np.asarray(t_grid, dtype=float)):
+        substeps = max(1, math.ceil(span / max_step))
+        h = span / substeps
+        for _ in range(substeps):
+            k1d, k1s = derivative(d, sigma)
+            k2d, k2s = derivative(d + 0.5 * h * k1d, sigma + 0.5 * h * k1s)
+            k3d, k3s = derivative(d + 0.5 * h * k2d, sigma + 0.5 * h * k2s)
+            k4d, k4s = derivative(d + h * k3d, sigma + h * k3s)
+            d = d + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
+            sigma = sigma + (h / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
+        means.append(d)
+        covs.append(sigma)
+    return np.array(means), np.array(covs)
+
+
+def lyapunov_steady_state(drift, diffusion) -> np.ndarray:
+    """sigma with A sigma + sigma A^T + D = 0, from (I x A + A x I) vec sigma = -vec D."""
+    n = drift.shape[0]
+    eye = np.eye(n)
+    vec = np.linalg.solve(np.kron(eye, drift) + np.kron(drift, eye), -diffusion.ravel())
+    return vec.reshape(n, n)
+
+
+def van_loan_map(drift, diffusion, step: float):
+    """(Phi, Q) of one step from a single scipy expm of Van Loan's 8x8 block."""
+    from scipy.linalg import expm
+
+    n = drift.shape[0]
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -drift
+    block[:n, n:] = diffusion
+    block[n:, n:] = drift.T
+    ex = expm(block * step)
+    phi = ex[n:, n:].T
+    return phi, phi @ ex[:n, n:]

@@ -1,6 +1,8 @@
 import json
 import math
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -255,3 +257,27 @@ def test_readme_commands_succeed(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for command in commands:
         assert main(shlex.split(command)[1:]) == 0, command
+
+
+def test_readme_library_example_runs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block.split("```", 1)[0] for block in text.split("```python\n")[1:]]
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    record = namespace["record"]
+    assert record.times.size == 1201
+    assert record.backflow_intervals
+
+
+def test_cli_import_pulls_in_no_scipy_or_mpmath():
+    # the command line stays numpy-only, so neither enters its start-up cost
+    import wignerosc
+
+    src = str(Path(wignerosc.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import wignerosc.cli; "
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -106,6 +106,14 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information(marginal_field(state, 0.0, 1))
 
+    def test_capped_at_uniform_populations(self):
+        # (1,1) reaches uniform populations where sin^2(2 theta) = 2/3; the
+        # pair sum lands one ulp above the maximum 2N/(N+1) = 4/3 there
+        state = FockPairState(1, 1, OscillatorParams(gamma=1.0))
+        theta = 0.5 * math.asin(math.sqrt(2.0 / 3.0))
+        assert mutual_information(state, theta) == 4.0 / 3.0
+        assert np.max(mutual_information(state, np.linspace(0.0, math.pi, 2001))) <= 4.0 / 3.0
+
     def test_vectorized_over_times(self):
         state = FockPairState(2, 1, UNIT)
         thetas = np.array([0.2, 0.7, 1.3])

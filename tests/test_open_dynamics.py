@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from wignerosc.fock_dynamics import OscillatorParams, PhasePoint, classical_trajectory
 from wignerosc.gaussian_states import (
     GaussianState,
     ThermalBath,
+    UnphysicalStateError,
     fidelity,
     reduce_mode,
     thermal_state,
+    validate_moments,
 )
 from wignerosc.open_dynamics import (
     EvolutionRecord,
+    _step_map,
     backflow_intervals,
     drift_and_diffusion,
     evolve_coupled,
@@ -110,8 +114,11 @@ class TestEvolveCoupled:
         for t, state in zip(record.times, record.states):
             ref = thermalize_closed_form(start, BATH, t)
             part = reduce_mode(state, 1)
-            assert np.max(np.abs(part.cov - ref.cov)) < 1e-6
-            assert np.max(np.abs(part.mean - ref.mean)) < 1e-6
+            assert np.max(np.abs(part.cov - ref.cov)) < 1e-12
+            assert np.max(np.abs(part.mean - ref.mean)) < 1e-12
+            # mode 2 keeps its isotropic block and never correlates with mode 1
+            assert np.max(np.abs(state.cov[2:, 2:] - initial.cov[2:, 2:])) < 1e-12
+            assert np.array_equal(state.cov[:2, 2:], np.zeros((2, 2)))
 
     def test_uncoupled_displaced_invariants(self):
         # the oscillator phase keeps turning, so compare the pieces the
@@ -200,9 +207,104 @@ class TestEvolveCoupled:
         with pytest.raises(ValueError):
             evolve_coupled(reduce_mode(figure_initial(), 1), PARAMS, BATH, [0.0, 1.0])
 
-    def test_step_cap_enforced(self):
-        with pytest.raises(ValueError):
-            evolve_coupled(figure_initial(), PARAMS, BATH, [0.0, 1.0], max_step=0.5)
+    def test_states_rebuild_the_arrays(self):
+        times = np.linspace(0.0, 10.0, 5)
+        record = evolve_coupled(figure_initial(), PARAMS, BATH, times)
+        states = record.states
+        assert len(states) == times.size
+        for state, mean, cov in zip(states, record.means, record.covs):
+            assert isinstance(state, GaussianState)
+            assert np.array_equal(state.mean, mean) and np.array_equal(state.cov, cov)
+
+
+class TestExactPropagator:
+    """The step maps against independent integrators and closed forms."""
+
+    WINDOW = 1.0 / BATH.decay_rate  # Gamma t in [0, 1]
+
+    def _against_rk4(self, times):
+        initial = figure_initial()
+        record = evolve_coupled(initial, PARAMS, BATH, times)
+        drift, diffusion = drift_and_diffusion(PARAMS, BATH)
+        means, covs = oracles.rk4_moments(drift, diffusion, initial.mean, initial.cov, times, 0.0025)
+        assert np.max(np.abs(record.means - means)) < 1e-10
+        assert np.max(np.abs(record.covs - covs)) < 1e-10
+
+    def test_matches_rk4_on_cli_grid(self):
+        # the CLI's t_step * arange(n) / Gamma grid has many distinct spacings
+        self._against_rk4(0.005 * np.arange(201) / BATH.decay_rate)
+
+    def test_matches_rk4_on_random_grid(self):
+        rng = np.random.default_rng(11)
+        inner = np.sort(rng.uniform(0.0, self.WINDOW, 150))
+        self._against_rk4(np.concatenate(([0.0], inner, [self.WINDOW])))
+
+    def test_matches_plain_composition_of_the_maps(self):
+        # the 21-vector form rounds differently from d <- Phi d, sigma <- Phi sigma Phi^T + Q;
+        # over the CLI's 12,001-point grid the two must stay within 1e-12
+        times = 0.005 * np.arange(12001) / BATH.decay_rate
+        initial = figure_initial()
+        record = evolve_coupled(initial, PARAMS, BATH, times)
+        drift, diffusion = drift_and_diffusion(PARAMS, BATH)
+        steps = np.diff(times)
+        maps = {step: _step_map(drift, diffusion, step) for step in set(steps.tolist())}
+        d, sigma = initial.mean, initial.cov
+        worst = 0.0
+        for i, step in enumerate(steps.tolist(), start=1):
+            phi, noise = maps[step]
+            d, sigma = phi @ d, phi @ sigma @ phi.T + noise
+            worst = max(worst, np.max(np.abs(record.covs[i] - sigma)), np.max(np.abs(record.means[i] - d)))
+        assert worst < 1e-12
+
+    def test_steady_state_solves_lyapunov(self):
+        drift, diffusion = drift_and_diffusion(PARAMS, BATH)
+        steady = oracles.lyapunov_steady_state(drift, diffusion)
+        assert np.allclose(steady, (2 * BATH.mean_occupation + 1) * np.eye(4), atol=1e-12)
+        times = np.linspace(0.0, 100.0 / BATH.decay_rate, 11)
+        record = evolve_coupled(figure_initial(), PARAMS, BATH, times)
+        assert np.max(np.abs(record.covs[-1] - steady)) < 1e-11
+
+    def test_step_map_matches_van_loan(self):
+        drift, diffusion = drift_and_diffusion(PARAMS, BATH)
+        phi, noise = _step_map(drift, diffusion, 0.05)
+        ref_phi, ref_noise = oracles.van_loan_map(drift, diffusion, 0.05)
+        assert np.max(np.abs(phi - ref_phi)) < 1e-15
+        assert np.max(np.abs(noise - ref_noise)) < 1e-16
+
+    def test_long_step_matches_substep_doubling(self):
+        # 1024 scipy substeps composed by doubling; one scipy exponential over
+        # the whole step is off by about 5e-12 here
+        drift, diffusion = drift_and_diffusion(PARAMS, BATH)
+        phi, noise = _step_map(drift, diffusion, 500.0)
+        ref_phi, ref_noise = oracles.van_loan_map(drift, diffusion, 500.0 / 1024)
+        ref_noise = 0.5 * (ref_noise + ref_noise.T)
+        for _ in range(10):
+            ref_noise = ref_phi @ ref_noise @ ref_phi.T + ref_noise
+            ref_phi = ref_phi @ ref_phi
+        assert np.max(np.abs(phi - ref_phi)) < 1e-15
+        assert np.max(np.abs(noise - ref_noise)) < 2e-12
+
+    def test_no_bath_is_the_hamiltonian_flow(self):
+        # Gamma = 0: Q vanishes and Phi moves phase points like the closed-form trajectories
+        drift, diffusion = drift_and_diffusion(PARAMS, ThermalBath(0.0, 4.0))
+        for step in (0.05, 37.0):
+            phi, noise = _step_map(drift, diffusion, step)
+            assert np.array_equal(noise, np.zeros((4, 4)))
+            flow = np.column_stack(
+                [classical_trajectory(PhasePoint(*unit), step, PARAMS).as_array() for unit in np.eye(4)]
+            )
+            assert np.max(np.abs(phi - flow)) < 1e-12
+
+    def test_unphysical_point_is_named(self):
+        means = np.zeros((3, 4))
+        covs = np.array([np.eye(4)] * 3)
+        covs[2, 2:, 2:] = 0.5 * np.eye(2)
+        with pytest.raises(UnphysicalStateError, match=r"mode 2 .* at t = 7"):
+            validate_moments(means, covs, 1.0, np.array([0.0, 3.0, 7.0]))
+        covs[2, 2:, 2:] = np.eye(2)
+        covs[1, 0, 2] = covs[1, 2, 0] = 2.0  # blocks fine, joint matrix indefinite
+        with pytest.raises(ValueError, match="positive definite at t = 3"):
+            validate_moments(means, covs, 1.0, np.array([0.0, 3.0, 7.0]))
 
 
 class TestIntervalDetection:
@@ -231,17 +333,19 @@ class TestIntervalDetection:
 
 class TestEvolutionRecord:
     def test_validation(self):
+        good = dict(
+            times=np.array([0.0, 1.0]),
+            means=np.zeros((2, 4)),
+            covs=np.array([np.eye(4)] * 2),
+            fidelity_track=np.zeros(2),
+            coherence_track=np.zeros(2),
+        )
+        assert len(EvolutionRecord(**good).states) == 2
         with pytest.raises(ValueError):
-            EvolutionRecord(
-                times=np.array([0.0, 0.0]),
-                states=[thermal_state(1.0)] * 2,
-                fidelity_track=np.zeros(2),
-                coherence_track=np.zeros(2),
-            )
+            EvolutionRecord(**{**good, "times": np.array([0.0, 0.0])})
         with pytest.raises(ValueError):
-            EvolutionRecord(
-                times=np.array([0.0, 1.0]),
-                states=[thermal_state(1.0)],
-                fidelity_track=np.zeros(2),
-                coherence_track=np.zeros(2),
-            )
+            EvolutionRecord(**{**good, "means": np.zeros((1, 4))})
+        with pytest.raises(ValueError):
+            EvolutionRecord(**{**good, "covs": np.array([np.eye(2)] * 2)})
+        with pytest.raises(ValueError):
+            EvolutionRecord(**{**good, "fidelity_track": np.zeros(3)})
