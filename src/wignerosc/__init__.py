@@ -18,12 +18,16 @@ from .fock_dynamics import (
     FockPairState,
     OscillatorParams,
     PhasePoint,
+    WignerField,
     classical_trajectory,
+    eigenstate_field,
     energy,
     evolved_wigner,
     hamiltonian_symbol,
+    marginal_field,
     marginal_wigner,
     mode_populations,
+    pair_field,
     radial_profile,
     stationary_wigner,
 )
@@ -41,15 +45,11 @@ from .gaussian_states import (
     thermal_state,
 )
 from .info_measures import (
-    WignerField,
-    eigenstate_field,
     expectation_value,
     gaussian_field,
     linear_entropy,
-    marginal_field,
     mutual_information,
     negativity,
-    pair_field,
 )
 from .open_dynamics import (
     EvolutionRecord,

@@ -30,7 +30,6 @@ from .fock_dynamics import FockPairState, OscillatorParams, energy, mode_populat
 from .gaussian_states import (
     GaussianState,
     ThermalBath,
-    UnphysicalStateError,
     coherence,
     fidelity,
     state_to_record,
@@ -39,11 +38,15 @@ from .gaussian_states import (
 from .info_measures import mutual_information, negativity
 from .open_dynamics import evolve_coupled, rising_intervals
 
-__all__ = ["ConfigError", "main", "resolve_config", "run_fig1", "run_fig3", "run_query"]
+__all__ = ["ConfigError", "NumericFailure", "main", "resolve_config", "run_fig1", "run_fig3", "run_query"]
 
 
 class ConfigError(Exception):
     """Bad key, bad value, or unparseable configuration input."""
+
+
+class NumericFailure(Exception):
+    """A computation broke down on input that passed validation."""
 
 
 def _fmt(value: float) -> str:
@@ -141,6 +144,8 @@ def _as_floats(cfg: dict[str, str], key: str, count: int | None = None) -> list[
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"{key} must be comma-separated numbers, got {cfg[key]!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{key} must be finite")
     if count is not None and len(values) != count:
         raise ConfigError(f"{key} must have {count} entries, got {len(values)}")
     return values
@@ -257,7 +262,11 @@ def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
     t_step = _as_float(cfg, "numeric.t_step")
     count = int(math.floor(t_max / t_step + 1e-9)) + 1
     scaled = t_step * np.arange(count)  # dimensionless Gamma*t axis
-    record = evolve_coupled(initial, _params(cfg, gamma), bath, scaled / rate)
+    params = _params(cfg, gamma)
+    try:
+        record = evolve_coupled(initial, params, bath, scaled / rate)
+    except (ArithmeticError, ValueError) as exc:  # the propagation or its trajectory checks
+        raise NumericFailure(f"propagation at gamma = {gamma!r} failed: {exc}") from exc
     tol = _as_float(cfg, "numeric.backflow_tol")
     backflow = [(a * rate, b * rate) for a, b in record.backflow_intervals]
     rises = [(a * rate, b * rate) for a, b in rising_intervals(record.times, record.coherence_track, tol)]
@@ -429,7 +438,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except UnphysicalStateError as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

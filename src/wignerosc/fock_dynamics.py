@@ -22,12 +22,16 @@ Each single-mode marginal of the evolving pair is the Wigner function of
 a state diagonal in the number basis.  Its populations follow from one
 eigendecomposition in the block of k + l quanta, so the marginals take a
 closed form with no integration.
+
+Each number-state Wigner function is written once, as the profile of a
+:class:`WignerField`; the point evaluators call that field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,13 +41,17 @@ __all__ = [
     "FockPairState",
     "OscillatorParams",
     "PhasePoint",
+    "WignerField",
     "classical_trajectory",
+    "eigenstate_field",
     "energy",
     "envelope_rates",
     "evolved_wigner",
     "hamiltonian_symbol",
+    "marginal_field",
     "marginal_wigner",
     "mode_populations",
+    "pair_field",
     "radial_profile",
     "stationary_wigner",
 ]
@@ -112,13 +120,43 @@ class FockPairState:
             raise ValueError("quantum numbers must be nonnegative")
 
 
+@dataclass(frozen=True)
+class WignerField:
+    """W(z) = exp(-sum_i rates[i] z_i^2) * profile(*z) at z = (q1, p1[, q2, p2]).
+
+    rates holds one positive envelope rate per coordinate, 2 or 4 of them.
+    The profile is safe to evaluate far outside the envelope; degree bounds
+    its polynomial degree when it is one, which sizes the quadrature rules
+    that integrate it exactly.
+    """
+
+    profile: Callable
+    rates: tuple[float, ...]
+    hbar: float
+    degree: int | None = None
+
+    def __post_init__(self):
+        rates = tuple(float(r) for r in self.rates)
+        if len(rates) not in (2, 4) or not all(r > 0 for r in rates):
+            raise ValueError("rates must be 2 or 4 positive reals")
+        if not self.hbar > 0:
+            raise ValueError("hbar must be positive")
+        object.__setattr__(self, "rates", rates)
+
+    @property
+    def mode_count(self) -> int:
+        return len(self.rates) // 2
+
+    def __call__(self, *z):
+        if len(z) != len(self.rates):
+            raise ValueError(f"expected {len(self.rates)} coordinates, got {len(z)}")
+        z = [np.asarray(c, dtype=float) for c in z]
+        return np.exp(-sum(a * c * c for a, c in zip(self.rates, z))) * self.profile(*z)
+
+
 def _coords(point):
     """Accept a PhasePoint or any 4-sequence of broadcastable coordinates."""
-    if isinstance(point, PhasePoint):
-        return point.q1, point.p1, point.q2, point.p2
-    q1, p1, q2, p2 = point
-    return (np.asarray(q1, dtype=float), np.asarray(p1, dtype=float),
-            np.asarray(q2, dtype=float), np.asarray(p2, dtype=float))
+    return (point.q1, point.p1, point.q2, point.p2) if isinstance(point, PhasePoint) else tuple(point)
 
 
 def envelope_rates(params: OscillatorParams) -> tuple[float, float]:
@@ -152,25 +190,39 @@ def hamiltonian_symbol(params: OscillatorParams):
     return symbol
 
 
-def stationary_wigner(n1: int, n2: int, point, params: OscillatorParams):
-    """Wigner function of the energy eigenstate with quantum numbers (n1, n2).
+def _scaled(rates, z):
+    """Unit-rate coordinates sqrt(a_i) z_i, in which the envelope is exp(-r^2)."""
+    return [math.sqrt(a) * c for a, c in zip(rates, z)]
 
-    Gaussian envelope times Laguerre factors in the two normal-mode radii
-    r^2 +- 2(p1 q2 - p2 q1)/hbar; n1 labels the branch whose energy grows
-    with gamma, so that the phase-space average of the Hamiltonian equals
-    :func:`energy` (n1, n2).  Normalized over the full phase space.
+
+def _pair_norm(n: int, params: OscillatorParams) -> float:
+    return (-1.0 if n % 2 else 1.0) / (math.pi**2 * params.hbar**2)
+
+
+def eigenstate_field(n1: int, n2: int, params: OscillatorParams) -> WignerField:
+    """Two-mode field of the energy eigenstate with quantum numbers (n1, n2).
+
+    Laguerre factors in the two normal-mode radii r^2 +- 2(p1 q2 - p2 q1)/hbar;
+    n1 labels the branch whose energy grows with gamma, so that the
+    phase-space average of the Hamiltonian equals :func:`energy` (n1, n2).
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("quantum numbers must be nonnegative")
-    q1, p1, q2, p2 = _coords(point)
-    a_q, a_p = envelope_rates(params)
-    x1, y1 = np.sqrt(a_q) * q1, np.sqrt(a_p) * p1
-    x2, y2 = np.sqrt(a_q) * q2, np.sqrt(a_p) * p2
-    r2 = x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2
-    cross = y1 * x2 - y2 * x1
-    sign = -1.0 if (n1 + n2) % 2 else 1.0
-    norm = sign / (math.pi**2 * params.hbar**2)
-    return norm * np.exp(-r2) * laguerre(n1, r2 + 2 * cross) * laguerre(n2, r2 - 2 * cross)
+    rates = 2 * envelope_rates(params)  # (a_q, a_p, a_q, a_p)
+    norm = _pair_norm(n1 + n2, params)
+
+    def profile(*z):
+        x1, y1, x2, y2 = _scaled(rates, z)
+        r2 = x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2
+        cross = y1 * x2 - y2 * x1
+        return norm * laguerre(n1, r2 + 2 * cross) * laguerre(n2, r2 - 2 * cross)
+
+    return WignerField(profile, rates, params.hbar, 2 * (n1 + n2))
+
+
+def stationary_wigner(n1: int, n2: int, point, params: OscillatorParams):
+    """Wigner function of the eigenstate (n1, n2) at a point; see :func:`eigenstate_field`."""
+    return eigenstate_field(n1, n2, params)(*_coords(point))
 
 
 def classical_trajectory(initial: PhasePoint, t: float, params: OscillatorParams) -> PhasePoint:
@@ -193,28 +245,32 @@ def classical_trajectory(initial: PhasePoint, t: float, params: OscillatorParams
     return PhasePoint(q1, p1, q2, p2)
 
 
-def evolved_wigner(state: FockPairState, point, t: float):
-    """Joint Wigner function of the evolving pair at time t.
+def pair_field(state: FockPairState, t: float = 0.0) -> WignerField:
+    """Two-mode field of the evolving pair at time t.
 
-    Equals the t=0 product state evaluated at coordinates rotated between
-    the mode planes by theta = gamma*t; the envelope exp(-r^2) is
-    invariant under that rotation, so only the Laguerre radii rotate.
+    The t=0 product state evaluated at coordinates rotated between the
+    mode planes by theta = gamma*t; the envelope is invariant under that
+    rotation, so only the Laguerre radii rotate.
     """
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     params = state.params
-    q1, p1, q2, p2 = _coords(point)
-    a_q, a_p = envelope_rates(params)
-    x1, y1 = np.sqrt(a_q) * q1, np.sqrt(a_p) * p1
-    x2, y2 = np.sqrt(a_q) * q2, np.sqrt(a_p) * p2
-    theta = params.gamma * t
-    c, s = math.cos(theta), math.sin(theta)
-    rho1 = (c * x1 - s * x2) ** 2 + (c * y1 - s * y2) ** 2
-    rho2 = (s * x1 + c * x2) ** 2 + (s * y1 + c * y2) ** 2
-    sign = -1.0 if (state.k + state.ell) % 2 else 1.0
-    norm = sign / (math.pi**2 * params.hbar**2)
-    r2 = x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2
-    return norm * np.exp(-r2) * laguerre(state.k, 2 * rho1) * laguerre(state.ell, 2 * rho2)
+    rates = 2 * envelope_rates(params)  # (a_q, a_p, a_q, a_p)
+    norm = _pair_norm(state.k + state.ell, params)
+    c, s = math.cos(params.gamma * t), math.sin(params.gamma * t)
+
+    def profile(*z):
+        x1, y1, x2, y2 = _scaled(rates, z)
+        rho1 = (c * x1 - s * x2) ** 2 + (c * y1 - s * y2) ** 2
+        rho2 = (s * x1 + c * x2) ** 2 + (s * y1 + c * y2) ** 2
+        return norm * laguerre(state.k, 2 * rho1) * laguerre(state.ell, 2 * rho2)
+
+    return WignerField(profile, rates, params.hbar, 2 * (state.k + state.ell))
+
+
+def evolved_wigner(state: FockPairState, point, t: float):
+    """Joint Wigner function of the evolving pair at a point; see :func:`pair_field`."""
+    return pair_field(state, t)(*_coords(point))
 
 
 def mode_populations(state: FockPairState, t, mode: int = 1) -> np.ndarray:
@@ -255,13 +311,23 @@ def radial_profile(populations, s, hbar: float = 1.0):
     return np.tensordot(signs * probs, table, axes=1) / (math.pi * hbar)
 
 
+def marginal_field(state: FockPairState, t: float, mode: int) -> WignerField:
+    """Single-mode marginal of the evolving pair at time t.
+
+    The Wigner function of the mode's number-diagonal state: its profile is
+    :func:`radial_profile` in s = a_q q^2 + a_p p^2, a polynomial of degree
+    k + l in s.
+    """
+    a_q, a_p = envelope_rates(state.params)
+    probs = mode_populations(state, t, mode)
+    hbar = state.params.hbar
+    return WignerField(
+        lambda q, p: radial_profile(probs, a_q * q * q + a_p * p * p, hbar),
+        (a_q, a_p), hbar, 2 * (state.k + state.ell),
+    )
+
+
 def marginal_wigner(state: FockPairState, t: float, mode: int, point):
     """Single-mode marginal W_mode(q, p) of the evolving pair at time t."""
-    q, p = point
-    a_q, a_p = envelope_rates(state.params)
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    s = a_q * q * q + a_p * p * p
-    probs = mode_populations(state, t, mode)
-    out = np.exp(-s) * radial_profile(probs, s, state.params.hbar)
+    out = marginal_field(state, t, mode)(*point)
     return float(out) if np.ndim(out) == 0 else out

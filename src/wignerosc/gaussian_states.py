@@ -88,6 +88,11 @@ def _det2(blocks):
     return blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] * blocks[..., 1, 0]
 
 
+def _nu(blocks):
+    """Single-mode invariants nu = sqrt(det) of 2x2 blocks, roundoff below 0 read as 0."""
+    return np.sqrt(np.maximum(_det2(blocks), 0.0))
+
+
 def validate_moments(means, covs, hbar: float, times=None) -> np.ndarray:
     """GaussianState's checks over stacks (n, 2N) and (n, 2N, 2N); returns covs symmetrized.
 
@@ -112,7 +117,7 @@ def validate_moments(means, covs, hbar: float, times=None) -> np.ndarray:
     except np.linalg.LinAlgError:  # named: the first point with an eigenvalue <= 0
         fail(np.argmax(np.linalg.eigvalsh(covs)[..., 0] <= 0), "covariance must be positive definite")
     blocks = np.stack([covs[..., i : i + 2, i : i + 2] for i in range(0, covs.shape[-1], 2)], axis=-3)
-    nus = np.sqrt(np.maximum(_det2(blocks), 0.0))  # (n, modes)
+    nus = _nu(blocks)  # (n, modes)
     low = nus < hbar * (1.0 - PHYSICALITY_SLACK)
     if low.any():
         i, mode = np.argwhere(low)[0]  # row-major: the first failing point, then its first failing mode
@@ -125,7 +130,7 @@ def symplectic_nu(state: GaussianState, mode: int = 1) -> float:
     if not 1 <= mode <= state.modes:
         raise ValueError(f"invalid mode index {mode}")
     i = 2 * (mode - 1)
-    return math.sqrt(max(float(_det2(state.cov[i : i + 2, i : i + 2])), 0.0))
+    return float(_nu(state.cov[i : i + 2, i : i + 2]))
 
 
 def gaussian_wigner(state: GaussianState, *coords):
@@ -219,7 +224,7 @@ def moment_coherence(mean, cov):
     S(rho_th) - S(rho): the thermal reference has the state's mean photon
     number, and the state entropy depends only on nu.
     """
-    nu = np.maximum(np.sqrt(np.maximum(_det2(cov), 0.0)), 1.0)
+    nu = np.maximum(_nu(cov), 1.0)
     state_entropy = _xlog2x((nu + 1.0) / 2.0) - _xlog2x((nu - 1.0) / 2.0)
     return np.maximum(_thermal_entropy_bits(_photons(mean, cov)) - state_entropy, 0.0)
 

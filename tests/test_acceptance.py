@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from wignerosc.cli import main, resolve_config, run_fig1, run_fig3
-from wignerosc.fock_dynamics import FockPairState, OscillatorParams, mode_populations
+from wignerosc.fock_dynamics import FockPairState, OscillatorParams, mode_populations, pair_field
 from wignerosc.gaussian_states import (
     GaussianState,
     ThermalBath,
@@ -21,7 +21,7 @@ from wignerosc.gaussian_states import (
     reduce_mode,
     thermal_state,
 )
-from wignerosc.info_measures import linear_entropy, negativity, normalization, pair_field
+from wignerosc.info_measures import linear_entropy, negativity, normalization
 from wignerosc.open_dynamics import evolve_coupled, rising_intervals, thermalize_closed_form
 
 from test_gaussian_states import random_physical_state

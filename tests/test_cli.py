@@ -111,6 +111,16 @@ class TestConfigHandling:
             resolve_config("fig3", None, ["physics.initial_covariance=weird"])
         with pytest.raises(ConfigError):
             resolve_config("fig3", None, ["physics.displacement=1,2,3"])
+        for value in ("physics.displacement=1,nan,1,1", "physics.gamma=inf", "physics.gamma=nan,nan"):
+            with pytest.raises(ConfigError, match="must be finite"):
+                resolve_config("fig3", None, [value])
+
+    @pytest.mark.parametrize("value", ["physics.displacement=1,nan,1,1", "physics.gamma=inf", "physics.gamma=nan,nan"])
+    def test_non_finite_lists_exit_2_before_dump(self, value, capsys):
+        assert main(["fig3", "--set", value, "--dump-config"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err
 
     def test_parse_overrides(self):
         with pytest.raises(ConfigError):
@@ -242,6 +252,22 @@ class TestFig3Command:
     def test_bad_config_exit_code(self, capsys):
         assert main(["fig3", "--set", "physics.decay_rate=-1"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value,at_time", [
+        ("physics.omega=1e200", False),  # overflows while the drift is assembled
+        ("physics.mbar=1e308", False),  # infinite diffusion: no step count fits
+        ("physics.omega=1e150", True),  # the moments leave the floats mid-run
+        ("physics.gamma=1e300", True),
+        ("physics.mass=1e-300", True),
+    ])
+    def test_numeric_failure_exit_code(self, value, at_time, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert main(["fig3", "--out", str(out), "--set", value, *FAST_FIG3]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ")
+        assert ("at t = " in err) == at_time
+        assert not out.exists()
 
 
 def _readme_commands() -> list[str]:

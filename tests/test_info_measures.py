@@ -7,24 +7,24 @@ import oracles
 from wignerosc.fock_dynamics import (
     FockPairState,
     OscillatorParams,
+    WignerField,
+    eigenstate_field,
     envelope_rates,
     evolved_wigner,
     hamiltonian_symbol,
+    marginal_field,
     mode_populations,
+    pair_field,
 )
 from wignerosc import info_measures
-from wignerosc.gaussian_states import thermal_state
+from wignerosc.gaussian_states import GaussianState, thermal_state
 from wignerosc.info_measures import (
-    WignerField,
-    eigenstate_field,
     expectation_value,
     gaussian_field,
     linear_entropy,
-    marginal_field,
     mutual_information,
     negativity,
     normalization,
-    pair_field,
 )
 from wignerosc.quadrature import gauss_hermite
 
@@ -60,9 +60,9 @@ class TestLinearEntropy:
             assert s == pytest.approx(oracles.mixed_state_entropy(2, 1, theta), abs=1e-11)
 
     def test_requires_envelope(self):
-        bare = WignerField(evaluator=lambda q, p: 0.0 * q, mode_count=1, hbar=1.0)
-        with pytest.raises(ValueError):
-            linear_entropy(bare)
+        # a field is its envelope times its profile: there is no bare evaluator
+        with pytest.raises(TypeError):
+            WignerField(lambda q, p: 0.0 * q, hbar=1.0)
 
 
 class TestMutualInformation:
@@ -94,16 +94,20 @@ class TestMutualInformation:
             assert mutual_information(state, theta) >= -1e-8
 
     def test_generic_two_mode_field(self):
-        # the field route reproduces the state route
-        state = FockPairState(1, 0, UNIT)
-        field = pair_field(state, 0.5)
-        direct = mutual_information(state, 0.5)
-        via_field = mutual_information(field, rule=gauss_hermite(8))
-        assert via_field == pytest.approx(direct, abs=1e-12)
+        # Gauss-Hermite purities of the three fields against the closed form
+        for k, ell in ((1, 0), (2, 1)):
+            state = FockPairState(k, ell, UNIT)
+            for theta in (0.2, 0.5, 1.1):
+                quadrature = (
+                    linear_entropy(marginal_field(state, theta, 1))
+                    + linear_entropy(marginal_field(state, theta, 2))
+                    - linear_entropy(pair_field(state, theta))
+                )
+                assert mutual_information(state, theta) == pytest.approx(quadrature, abs=1e-12)
 
     def test_rejects_single_mode_field(self):
         state = FockPairState(1, 0, UNIT)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             mutual_information(marginal_field(state, 0.0, 1))
 
     def test_capped_at_uniform_populations(self):
@@ -254,7 +258,22 @@ class TestFieldConstruction:
         assert normalization(field) == pytest.approx(1.0, abs=1e-10)
 
     def test_field_validation(self):
+        for rates in ((1.0,), (1.0, 1.0, 1.0), (1.0, 1.0) * 3, (1.0, 0.0), (1.0, -2.0, 1.0, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                WignerField(lambda q, p: q, rates, 1.0)
         with pytest.raises(ValueError):
-            WignerField(evaluator=lambda q, p: q, mode_count=3, hbar=1.0)
-        with pytest.raises(ValueError):
-            WignerField(evaluator=lambda q, p: q, mode_count=1, hbar=1.0, envelope_rates=(1.0,))
+            WignerField(lambda q, p: q, (1.0, 1.0), 0.0)
+        assert WignerField(lambda q, p: q, (1.0, 2.0), 1.0).mode_count == 1
+        assert WignerField(lambda *z: z[0], (1.0, 2.0, 1.0, 2.0), 1.0).mode_count == 2
+
+    def test_wrong_coordinate_count(self):
+        state = FockPairState(1, 0, UNIT)
+        with pytest.raises(ValueError, match="expected 2 coordinates, got 4"):
+            marginal_field(state, 0.0, 1)(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="expected 4 coordinates, got 2"):
+            pair_field(state, 0.0)(0.0, 0.0)
+
+    def test_gaussian_field_needs_diagonal_covariance(self):
+        state = GaussianState(np.zeros(2), np.array([[2.0, 0.5], [0.5, 2.0]]))
+        with pytest.raises(ValueError, match="gaussian_wigner"):
+            gaussian_field(state)
