@@ -266,7 +266,10 @@ def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
     try:
         record = evolve_coupled(initial, params, bath, scaled / rate)
     except (ArithmeticError, ValueError) as exc:  # the propagation or its trajectory checks
-        raise NumericFailure(f"propagation at gamma = {gamma!r} failed: {exc}") from exc
+        reason = str(exc)
+        if hasattr(exc, "index"):  # name the failing sample by its Gamma*t, as in the t column
+            reason = f"{reason.rpartition(' at t = ')[0]} at t = {scaled[exc.index]:.6g}"
+        raise NumericFailure(f"propagation at gamma = {gamma!r} failed: {reason}") from exc
     tol = _as_float(cfg, "numeric.backflow_tol")
     backflow = [(a * rate, b * rate) for a, b in record.backflow_intervals]
     rises = [(a * rate, b * rate) for a, b in rising_intervals(record.times, record.coherence_track, tol)]
@@ -293,11 +296,10 @@ def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
 
 def _csv_text(result: dict) -> str:
     columns = result["columns"]
-    names = list(columns)
-    lines = [",".join(names)]
-    length = len(next(iter(columns.values())))
-    for i in range(length):
-        lines.append(",".join(_fmt(columns[name][i]) for name in names))
+    table = np.array(list(columns.values()), dtype=float).T
+    # one C-level % over every cell; "%.17g" % x is _fmt(x), inf, nan and -0 included
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(columns), "\n".join([row] * len(table)) % tuple(table.ravel().tolist())]
     summary = result.get("summary")
     if summary:
         lines.append(f"# backflow_intervals,{len(summary['backflow_intervals'])}")
@@ -306,10 +308,18 @@ def _csv_text(result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_JSON_ITEM = ",\n      "  # separator of a column's values at indent=2, depth 3
+
+
 def _json_text(experiment: str, result: dict, cfg: dict[str, str]) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) of the result, byte for byte.
+
+    indent=2 falls back to the pure-Python encoder, so the columns, which
+    sort first, are encoded one at a time by the C encoder (indent=None)
+    with the indented separator and spliced into the text of the rest.
+    """
     payload = {
         "experiment": experiment,
-        "columns": {name: [float(v) for v in values] for name, values in result["columns"].items()},
         "metadata": {"config": dict(sorted(cfg.items())), "version": __version__},
     }
     if "summary" in result:
@@ -322,7 +332,14 @@ def _json_text(experiment: str, result: dict, cfg: dict[str, str]) -> str:
         }
     if "initial_state" in result:
         payload["metadata"]["initial_state"] = result["initial_state"]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    columns = ",\n".join(
+        f"    {json.dumps(name)}: [\n      "
+        + json.dumps(np.asarray(values, dtype=float).tolist(), separators=(_JSON_ITEM, ": "))[1:-1]
+        + "\n    ]"
+        for name, values in sorted(result["columns"].items())
+    )
+    rest = json.dumps(payload, sort_keys=True, indent=2)
+    return '{\n  "columns": {\n' + columns + "\n  },\n" + rest[2:] + "\n"
 
 
 QUERY_PARAMS = {

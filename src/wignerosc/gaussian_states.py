@@ -98,10 +98,13 @@ def validate_moments(means, covs, hbar: float, times=None) -> np.ndarray:
 
     Moments finite, covariances symmetric to 1e-12 relative and positive
     definite, every mode at nu >= hbar (1 - PHYSICALITY_SLACK).  Errors name
-    the first failing point, by its time when times is given."""
+    the first failing point, by its time when times is given, and carry
+    its position in the stack as ``index``."""
 
     def fail(i, message, error=ValueError):
-        raise error(message + ("" if times is None else f" at t = {times[i]:.6g}"))
+        exc = error(message + ("" if times is None else f" at t = {times[i]:.6g}"))
+        exc.index = int(i)
+        raise exc
 
     bad = ~(np.isfinite(means).all(axis=-1) & np.isfinite(covs).all(axis=(-2, -1)))
     if bad.any():

@@ -164,18 +164,20 @@ def evolve_coupled(
     drift, diffusion = drift_and_diffusion(params, bath)
     steps, which = np.unique(np.diff(t_grid), return_inverse=True)
     maps = []
-    for step in steps:
-        phi, noise = _step_map(drift, diffusion, float(step))
-        affine = np.zeros((21, 21))
-        affine[:16, :16] = np.kron(phi, phi)  # vec(Phi sigma Phi^T), row-major vec
-        affine[:16, 20] = noise.ravel()
-        affine[16:20, 16:20] = phi
-        affine[20, 20] = 1.0
-        maps.append(affine)
-    z = np.empty((t_grid.size, 21))
-    z[0] = np.concatenate((initial.cov.ravel(), initial.mean, [1.0]))
-    for i, k in enumerate(which.tolist(), start=1):
-        np.dot(maps[k], z[i - 1], out=z[i])
+    # moments that leave the floats are reported once, by validate_moments below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in steps:
+            phi, noise = _step_map(drift, diffusion, float(step))
+            affine = np.zeros((21, 21))
+            affine[:16, :16] = np.kron(phi, phi)  # vec(Phi sigma Phi^T), row-major vec
+            affine[:16, 20] = noise.ravel()
+            affine[16:20, 16:20] = phi
+            affine[20, 20] = 1.0
+            maps.append(affine)
+        z = np.empty((t_grid.size, 21))
+        z[0] = np.concatenate((initial.cov.ravel(), initial.mean, [1.0]))
+        for i, k in enumerate(which.tolist(), start=1):
+            np.dot(maps[k], z[i - 1], out=z[i])
 
     hbar, means = initial.hbar, z[:, 16:20]
     covs = validate_moments(means, z[:, :16].reshape(-1, 4, 4), hbar, t_grid)

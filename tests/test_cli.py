@@ -8,12 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wignerosc import __version__
 from wignerosc.cli import (
     ConfigError,
+    _csv_text,
+    _json_text,
     load_config_file,
     main,
     parse_overrides,
     resolve_config,
+    run_fig1,
+    run_fig3,
     run_query,
 )
 
@@ -253,7 +258,10 @@ class TestFig3Command:
         assert main(["fig3", "--set", "physics.decay_rate=-1"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the first sample whose moments leave the floats, by its value in the t column (Gamma*t)
+    FAILING_T = {"physics.omega=1e150": "0.05", "physics.gamma=1e300": "0.2", "physics.mass=1e-300": "0.05"}
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value,at_time", [
         ("physics.omega=1e200", False),  # overflows while the drift is assembled
         ("physics.mbar=1e308", False),  # infinite diffusion: no step count fits
@@ -266,8 +274,84 @@ class TestFig3Command:
         assert main(["fig3", "--out", str(out), "--set", value, *FAST_FIG3]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ")
+        assert err.count("\n") == 1 and err.endswith("\n")  # no numpy warning ahead of it
         assert ("at t = " in err) == at_time
+        if at_time:
+            assert err.endswith(f" at t = {self.FAILING_T[value]}\n")
         assert not out.exists()
+
+
+def _stdlib_json(experiment: str, result: dict, cfg: dict) -> str:
+    """The payload as the writer has always laid it out, through json.dumps(indent=2)."""
+    payload = {
+        "experiment": experiment,
+        "columns": {name: [float(v) for v in values] for name, values in result["columns"].items()},
+        "metadata": {"config": dict(sorted(cfg.items())), "version": __version__},
+    }
+    if "summary" in result:
+        payload["summary"] = {
+            "gamma": result["summary"]["gamma"],
+            "backflow_intervals": [[float(a), float(b)] for a, b in result["summary"]["backflow_intervals"]],
+            "coherence_rise_intervals": [
+                [float(a), float(b)] for a, b in result["summary"]["coherence_rise_intervals"]
+            ],
+        }
+    if "initial_state" in result:
+        payload["metadata"]["initial_state"] = result["initial_state"]
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _per_cell_csv(result: dict) -> str:
+    """The table one format(v, ".17g") per cell, then the backflow summary."""
+    columns = result["columns"]
+    lines = [",".join(columns)]
+    for i in range(len(next(iter(columns.values())))):
+        lines.append(",".join(format(float(columns[name][i]), ".17g") for name in columns))
+    summary = result.get("summary")
+    if summary:
+        lines.append(f"# backflow_intervals,{len(summary['backflow_intervals'])}")
+        for a, b in summary["backflow_intervals"]:
+            lines.append(f"# backflow_interval,{format(a, '.17g')},{format(b, '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+def _fig1(*sets):
+    cfg = resolve_config("fig1", None, list(sets))
+    return "fig1", run_fig1(cfg), cfg
+
+
+def _fig3(*sets, gamma=0.1):
+    cfg = resolve_config("fig3", None, list(sets))
+    return "fig3", run_fig3(cfg, gamma), cfg
+
+
+def _special_values():
+    experiment, result, cfg = _fig3(*FAST_FIG3[1::2])
+    cells = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.79e308, 0.1, 1 / 3, 1e16, 1e-5]
+    result["columns"] = {"t": np.arange(len(cells), dtype=float), "value": np.array(cells)}
+    result["summary"].update(backflow_intervals=[], coherence_rise_intervals=[])
+    return experiment, result, cfg
+
+
+ZERO_COHERENCE = ["physics.displacement=0,0,1,1", "physics.initial_covariance=thermal"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _fig1(*FAST_FIG1[1::2]),
+    lambda: _fig1(*FAST_FIG1[1::2], "physics.k=2", "physics.l=1"),
+    lambda: _fig1("numeric.theta_max=0"),  # one row
+    lambda: _fig3(*FAST_FIG3[1::2]),
+    lambda: _fig3(*FAST_FIG3[1::2], "physics.gamma=0,0.1", gamma=0.0),  # no backflow interval
+    lambda: _fig3(*FAST_FIG3[1::2], "physics.gamma=0,0.1", gamma=0.1),
+    lambda: _fig3("numeric.t_max=0.004"),  # one row
+    lambda: _fig3(*FAST_FIG3[1::2], *ZERO_COHERENCE, gamma=0.5),  # infinite normalized coherence
+    _special_values,
+], ids=["fig1", "fig1_21", "fig1_one_row", "fig3", "fig3_gamma0", "fig3_gamma0.1", "fig3_one_row",
+        "fig3_zero_coherence", "special_values"])
+def test_writers_match_stdlib_formatting(build):
+    experiment, result, cfg = build()
+    assert _json_text(experiment, result, cfg) == _stdlib_json(experiment, result, cfg)
+    assert _csv_text(result) == _per_cell_csv(result)
 
 
 def _readme_commands() -> list[str]:
