@@ -45,6 +45,7 @@ from .gaussian_states import (
     thermal_state,
 )
 from .info_measures import (
+    NegativityError,
     expectation_value,
     gaussian_field,
     linear_entropy,

@@ -35,7 +35,7 @@ from .gaussian_states import (
     state_to_record,
     thermal_state,
 )
-from .info_measures import mutual_information, negativity
+from .info_measures import NegativityError, mutual_information, negativity
 from .open_dynamics import evolve_coupled, rising_intervals
 
 __all__ = ["ConfigError", "NumericFailure", "main", "resolve_config", "run_fig1", "run_fig3", "run_query"]
@@ -226,10 +226,17 @@ def run_fig1(cfg: dict[str, str]) -> dict:
         "columns": {
             "theta": thetas,
             "mutual_information": mutual_information(state, thetas),
-            "negativity_mode1": negativity(probs),
-            "negativity_mode2": negativity(probs[:, ::-1]),
+            "negativity_mode1": _negativity(probs, k + ell),
+            "negativity_mode2": _negativity(probs[:, ::-1], k + ell),
         },
     }
+
+
+def _negativity(probs: np.ndarray, quanta: int):
+    try:
+        return negativity(probs)
+    except NegativityError as exc:
+        raise NumericFailure(f"negativity at k + l = {quanta}: {exc}") from exc
 
 
 def _fig3_initial_state(cfg: dict[str, str]) -> GaussianState:
@@ -253,6 +260,16 @@ def _fig3_initial_state(cfg: dict[str, str]) -> GaussianState:
     return GaussianState(d, cov, hbar)
 
 
+# OscillatorParams and ThermalBath fields by the fig3 keys that set them
+_FIG3_KEYS = {
+    "mass": "physics.mass",
+    "omega": "physics.omega",
+    "hbar": "physics.hbar",
+    "decay_rate": "physics.decay_rate",
+    "mean_occupation": "physics.mbar",
+}
+
+
 def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
     """Propagate one coupled dissipative run and tabulate the witnesses."""
     rate = _as_float(cfg, "physics.decay_rate")
@@ -269,6 +286,9 @@ def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
         reason = str(exc)
         if hasattr(exc, "index"):  # name the failing sample by its Gamma*t, as in the t column
             reason = f"{reason.rpartition(' at t = ')[0]} at t = {scaled[exc.index]:.6g}"
+        if getattr(exc, "parameters", ()):  # name the keys that set the quantity out of range
+            keys = [_FIG3_KEYS[name] for name in exc.parameters]
+            reason += " (" + ", ".join(f"{key} = {cfg[key]}" for key in keys) + ")"
         raise NumericFailure(f"propagation at gamma = {gamma!r} failed: {reason}") from exc
     tol = _as_float(cfg, "numeric.backflow_tol")
     backflow = [(a * rate, b * rate) for a, b in record.backflow_intervals]
@@ -382,7 +402,7 @@ def run_query(quantity: str, params: dict[str, str]) -> str:
             hbar=_as_float(cfg, "hbar"), gamma=1.0,
         )
         probs = mode_populations(FockPairState(k, ell, osc), _as_float(cfg, "theta"), _as_int(cfg, "mode"))
-        return f"{negativity(probs):.12g}"
+        return f"{_negativity(probs, k + ell):.12g}"
     raise ConfigError(f"unknown query quantity {quantity!r}")
 
 

@@ -25,6 +25,7 @@ from .gaussian_states import GaussianState
 from .quadrature import QuadratureRule, gauss_hermite, laguerre_table
 
 __all__ = [
+    "NegativityError",
     "expectation_value",
     "gaussian_field",
     "linear_entropy",
@@ -124,16 +125,27 @@ def mutual_information(state: FockPairState, t=0.0):
 
 
 _SCAN_BUDGET = 1 << 20  # scan values of f held at once by negativity
+_NEWTON_CAP = 64  # iterations before negativity gives up; random pairs up to N = 200 need at most 5
+
+
+class NegativityError(ArithmeticError):
+    """The negativity of a number-state population vector cannot be certified."""
 
 
 def _scaled_table(n: int, v: np.ndarray) -> np.ndarray:
-    """e^{-v/2} L_j(v) for j = 0..n; every entry lies in [-1, 1] for v >= 0."""
-    return laguerre_table(n, v) * np.exp(-0.5 * v)
+    """e^{-v/2} L_j(v) for j = 0..n; every entry lies in [-1, 1] for v >= 0.
 
-
-def _series(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[b, j] e^{-v_b/2} L_j(v_b) for each row b."""
-    return np.einsum("bj,jb->b", coeffs, _scaled_table(coeffs.shape[1] - 1, v))
+    The recurrence runs unscaled, so past n = 313 it leaves the floats on
+    the negativity scan; that raises NegativityError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = laguerre_table(n, v) * np.exp(-0.5 * v)
+    if not np.isfinite(table).all():
+        raise NegativityError(
+            f"the Laguerre values of order {n} leave the floats on the negativity scan "
+            "(at most 313 quanta are supported)"
+        )
+    return table
 
 
 def negativity(populations):
@@ -154,11 +166,20 @@ def negativity(populations):
 
     The roots are bracketed by the sign changes of f on a scan of
     [0, 4N+6+12 sqrt(N+1)], past the largest root, that is uniform in
-    sqrt(v) because the roots crowd the origin; one vectorized bisection
-    refines them all.  A root error d moves T by O(d^2), so the result is
-    exact to rounding unless two roots share one scan cell, whose lobe is
-    then missed.  Rows are processed in chunks of at most _SCAN_BUDGET scan
-    values, so memory does not grow with the number of rows.
+    sqrt(v) because the roots crowd the origin.  A Newton iteration,
+    started at the secant of each bracket's scan values, refines them all
+    at once; its slope f' = e^{-v/2} Q' - f/2 comes from the same Laguerre
+    values, since L_j' = -sum_{i<j} L_i.  Every iterate stays in its sign
+    bracket [a, b], falling back to the midpoint when a step leaves it.  A
+    root error d moves T by about |f'| d^2 / 2, so a root stops once its
+    Newton step s has |f'| s^2 <= 1e-18 (|f'| <= N + 1/2, so this holds
+    whenever |s| <= 1e-12), or, where f is rounding noise and s with it,
+    once (b - a) max(|f(a)|, |f(b)|) <= 1e-18.
+    The result is thus exact to rounding unless two roots share one scan
+    cell, whose lobe is then missed.  Rows are processed in chunks of at
+    most _SCAN_BUDGET scan values, so memory does not grow with the number
+    of rows.  Past N = 313 quanta the Laguerre values leave the floats and
+    NegativityError is raised.
     """
     probs = np.asarray(populations, dtype=float)
     if probs.ndim not in (1, 2) or probs.shape[-1] == 0:
@@ -175,19 +196,35 @@ def negativity(populations):
     f_coeffs = signs * rows
     tail = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]  # sum_{i>=j} P_i
     tail_coeffs = 2.0 * signs * (2.0 * tail - rows)
+    slope_coeffs = f_coeffs - np.cumsum(f_coeffs[:, ::-1], axis=1)[:, ::-1]  # -sum_{i>j} c_i: Q'
 
-    below = f_coeffs @ _scaled_table(n, v) < 0.0
+    scan = f_coeffs @ _scaled_table(n, v)
+    below = scan < 0.0
     which, cell = np.nonzero(below[:, :-1] != below[:, 1:])
     lo, hi = v[cell], v[cell + 1]
     lo_below = below[which, cell]
-    coeffs = f_coeffs[which]
-    # brackets start at most 0.2 wide in v; 40 halvings leave under 2e-13
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        lo_side = (_series(coeffs, mid) < 0.0) == lo_below
-        lo = np.where(lo_side, mid, lo)
-        hi = np.where(lo_side, hi, mid)
-    at_root = _series(tail_coeffs[which], 0.5 * (lo + hi))
+    f_lo, f_hi = scan[which, cell], scan[which, cell + 1]
+    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))  # f_lo, f_hi differ in sign, so x is in [lo, hi]
+    coeffs = np.stack((f_coeffs[which], slope_coeffs[which], tail_coeffs[which]))
+    for _ in range(_NEWTON_CAP):
+        f, slope, at_root = np.einsum("smj,jm->sm", coeffs, _scaled_table(n, x))
+        slope -= 0.5 * f
+        lo_side = (f < 0.0) == lo_below
+        lo, f_lo = np.where(lo_side, x, lo), np.where(lo_side, f, f_lo)
+        hi, f_hi = np.where(lo_side, hi, x), np.where(lo_side, f_hi, f)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -f / slope
+            settled = (np.abs(slope) * step * step <= 1e-18) | (
+                (hi - lo) * np.maximum(np.abs(f_lo), np.abs(f_hi)) <= 1e-18
+            )
+        if settled.all():
+            break
+        new = x + step
+        # closed bracket: a converged root may land on its own bracket end
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        x = np.where(settled, x, new)
+    else:
+        raise NegativityError(f"Newton refinement of the roots did not settle in {_NEWTON_CAP} iterations")
 
     at_zero = tail_coeffs.sum(axis=1)  # every L_j(0) = 1
     first = np.ones(which.size, dtype=bool)

@@ -97,18 +97,39 @@ def thermalize_closed_form(state: GaussianState, bath: ThermalBath, t: float) ->
     )
 
 
+def _out_of_range(quantity: str, *parameters: str) -> OverflowError:
+    """OverflowError naming the quantity and, as ``parameters``, the fields that set it."""
+    exc = OverflowError(f"{quantity} leaves the floats")
+    exc.parameters = parameters
+    return exc
+
+
 def drift_and_diffusion(params: OscillatorParams, bath: ThermalBath) -> tuple[np.ndarray, np.ndarray]:
     """Drift and diffusion matrices in the ordering (q1, p1, q2, p2).
 
     The Hamiltonian part follows q1' = 2 alpha^2 p1 + gamma q2,
     p1' = -2 beta^2 q1 + gamma p2 and the mode-2 mirror images with the
     opposite coupling sign; the bath damps and diffuses mode 1 only.
+    Coefficients beyond the float range raise OverflowError.
     """
-    a2, b2, g = 2.0 * params.alpha**2, 2.0 * params.beta**2, params.gamma
+    try:
+        a2 = 2.0 * params.alpha**2
+    except OverflowError:
+        raise _out_of_range("the drift coefficient 2 alpha^2 = 1/m", "mass") from None
+    try:
+        b2 = 2.0 * params.beta**2
+    except OverflowError:
+        raise _out_of_range("the drift coefficient 2 beta^2 = m omega^2", "mass", "omega") from None
+    g = params.gamma
     damp = -bath.decay_rate / 2.0
     drift = np.array([[damp, a2, g, 0.0], [-b2, damp, 0.0, g], [-g, 0.0, 0.0, a2], [0.0, -g, -b2, 0.0]])
+    noise = bath.decay_rate * (2.0 * bath.mean_occupation + 1.0) * params.hbar
+    if not math.isfinite(noise):
+        raise _out_of_range(
+            "the diffusion coefficient Gamma (2 mbar + 1) hbar", "decay_rate", "mean_occupation", "hbar"
+        )
     diffusion = np.zeros((4, 4))
-    diffusion[0, 0] = diffusion[1, 1] = bath.decay_rate * (2.0 * bath.mean_occupation + 1.0) * params.hbar
+    diffusion[0, 0] = diffusion[1, 1] = noise
     return drift, diffusion
 
 
@@ -123,7 +144,10 @@ def _step_map(drift: np.ndarray, diffusion: np.ndarray, step: float) -> tuple[np
     """
     n = drift.shape[0]
     block = np.block([[-drift, diffusion], [np.zeros_like(drift), drift.T]])
-    doublings = max(0, math.ceil(math.log2(2.0 * np.abs(block).sum(axis=0).max() * step)))
+    reach = 2.0 * np.abs(block).sum(axis=0).max() * step
+    if not math.isfinite(reach):
+        raise _out_of_range("the generator norm times the time step")
+    doublings = max(0, math.ceil(math.log2(reach)))
     scaled = block * (step / 2.0**doublings)
     total, term, order = np.eye(2 * n), np.eye(2 * n), 0
     while True:  # Taylor terms shrink at least as 2^-k / k!, so one stops changing the sum

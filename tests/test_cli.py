@@ -53,11 +53,26 @@ class TestQuery:
         value = float(capsys.readouterr().out)
         assert value == pytest.approx(4 * math.exp(-0.5) - 2, abs=1e-11)
 
-    @pytest.mark.parametrize("k,ell", [(3, 2), (10, 10), (25, 25)])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k,ell", [(3, 2), (10, 10), (25, 25), (150, 150)])
     def test_negativity_high_pairs(self, k, ell, capsys):
         theta = repr(5 * math.pi / 200)
         assert main(["query", "negativity", f"k={k}", f"l={ell}", f"theta={theta}", "mode=1"]) == 0
         assert float(capsys.readouterr().out) > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_negativity_past_float_range_exits_3(self, tmp_path, capsys):
+        # the Laguerre scan leaves the floats past k + l = 313
+        assert main(["query", "negativity", "k=400", "l=0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numeric failure: negativity at k + l = 400: ")
+        assert err.count("\n") == 1
+        target = tmp_path / "f.csv"
+        assert main(["fig1", "--out", str(target), "--set", "physics.k=400", *FAST_FIG1]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numeric failure: negativity at k + l = 400: ")
+        assert err.count("\n") == 1
+        assert not target.exists()
 
     def test_unknown_key_exits_2(self, capsys):
         assert main(["query", "eigen", "bogus=1"]) == 2
@@ -278,6 +293,8 @@ class TestFig3Command:
         assert ("at t = " in err) == at_time
         if at_time:
             assert err.endswith(f" at t = {self.FAILING_T[value]}\n")
+        else:  # the quantity out of range names the key that set it
+            assert f"{value.partition('=')[0]} = " in err
         assert not out.exists()
 
 

@@ -3,7 +3,9 @@
 The pairs and angles below are the hard cases of the mixing-angle sweep:
 a root of the radial profile that grid refinement could not settle
 ((2,1) at 37 pi/200, (3,2) at 5 pi/200), a pair of roots near the origin
-enclosing a lobe of 1.8e-7 ((5,0) at 49 pi/200), and degrees where the
+enclosing a lobe of 1.8e-7 ((5,0) at 49 pi/200), a near-tangent root pair
+where f' is about 1e-12 and Newton steps are rounding noise ((5,0) at
+50 pi/200, lobe 1e-37), and degrees where the
 companion-matrix roots of the Laguerre series go wrong ((13,13), (25,25)).
 """
 
@@ -30,6 +32,7 @@ NEGATIVITY_25_25_MODE1_AT_5_STEPS = 0.7817680297273644
     (3, 2, 5, (1, 2)),
     (5, 0, 49, (1,)),
     (13, 13, 5, (1, 2)),
+    (5, 0, 50, (1, 2)),
 ])
 def test_negativity_against_mpmath(k, ell, index, modes):
     theta = STEP * index

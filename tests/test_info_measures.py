@@ -19,6 +19,7 @@ from wignerosc.fock_dynamics import (
 from wignerosc import info_measures
 from wignerosc.gaussian_states import GaussianState, thermal_state
 from wignerosc.info_measures import (
+    NegativityError,
     expectation_value,
     gaussian_field,
     linear_entropy,
@@ -186,6 +187,28 @@ class TestNegativity:
         assert rows == pytest.approx([negativity(row) for row in probs], abs=1e-15)
         monkeypatch.setattr(info_measures, "_SCAN_BUDGET", 2000)  # chunks of 2 rows
         assert negativity(probs) == pytest.approx(rows, abs=1e-15)
+
+    # (0,43) has roots in the tail where f is rounding noise, so are its Newton steps
+    @pytest.mark.parametrize("k,ell,most", [(2, 1, 7), (5, 0, 7), (25, 25, 10), (0, 43, 7)])
+    def test_laguerre_tables_per_sweep(self, k, ell, most, monkeypatch):
+        # one scan table plus one per Newton iteration; 40 bisection steps took 42
+        calls = []
+        table = info_measures.laguerre_table
+        monkeypatch.setattr(info_measures, "laguerre_table", lambda n, x: calls.append(n) or table(n, x))
+        probs = mode_populations(FockPairState(k, ell, UNIT), math.pi / 200 * np.arange(201), 1)
+        negativity(probs)
+        assert 2 <= len(calls) <= most
+
+    def test_unsettled_roots_raise(self, monkeypatch):
+        monkeypatch.setattr(info_measures, "_NEWTON_CAP", 1)
+        with pytest.raises(NegativityError, match="did not settle"):
+            negativity(mode_populations(FockPairState(2, 1, UNIT), 0.6, 1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_past_float_range_raises(self):
+        assert negativity(mode_populations(FockPairState(313, 0, UNIT), 0.3, 1)) > 0.0
+        with pytest.raises(NegativityError, match="order 314"):
+            negativity(mode_populations(FockPairState(314, 0, UNIT), 0.3, 1))
 
 
 class TestExpectationValue:

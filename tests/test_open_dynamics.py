@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,23 @@ class TestDriftDiffusion:
         assert np.allclose((drift - free_drift)[2:, :], 0.0)
         assert np.allclose(diffusion[2:, :], 0.0)
         assert np.allclose(diffusion[:, 2:], 0.0)
+
+    @pytest.mark.parametrize("params,bath,quantity,parameters", [
+        (OscillatorParams(mass=5e-324), BATH, "1/m", ("mass",)),
+        (OscillatorParams(omega=1e200), BATH, "m omega^2", ("mass", "omega")),
+        (PARAMS, ThermalBath(0.1, 1e308), "Gamma (2 mbar + 1) hbar", ("decay_rate", "mean_occupation", "hbar")),
+    ])
+    def test_out_of_range_coefficient_is_named(self, params, bath, quantity, parameters):
+        with pytest.raises(OverflowError, match=re.escape(quantity)) as info:
+            drift_and_diffusion(params, bath)
+        assert info.value.parameters == parameters
+
+    @pytest.mark.filterwarnings("error")
+    def test_step_map_out_of_range_is_named(self):
+        # every coefficient is a float, but a column sum of the generator is not
+        params = OscillatorParams(omega=1e154, gamma=1.7e308)
+        with pytest.raises(OverflowError, match="generator norm"):
+            evolve_coupled(figure_initial(), params, BATH, np.linspace(0.0, 1.0, 3))
 
 
 class TestEvolveCoupled:
