@@ -10,8 +10,10 @@ negativity).
 
 Configuration is a flat text file of dotted ``key=value`` pairs,
 overridable with repeated ``--set key=value`` flags (flags win).
-``--dump-config`` prints the fully resolved configuration in the same
-format; re-running from that dump reproduces the output byte for byte.
+``KEYS`` names every key of each command with its parser and default,
+and every resolved value is canonical text.  ``--dump-config`` prints
+the fully resolved configuration in the same format; re-running from
+that dump reproduces the output byte for byte.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
 
@@ -35,10 +37,12 @@ from .gaussian_states import (
     state_to_record,
     thermal_state,
 )
-from .info_measures import NegativityError, mutual_information, negativity
+from .info_measures import MAX_QUANTA, NegativityError, mutual_information, negativity
 from .open_dynamics import evolve_coupled, rising_intervals
 
-__all__ = ["ConfigError", "NumericFailure", "main", "resolve_config", "run_fig1", "run_fig3", "run_query"]
+__all__ = [
+    "KEYS", "ConfigError", "NumericFailure", "main", "resolve_config", "run_fig1", "run_fig3", "run_query",
+]
 
 
 class ConfigError(Exception):
@@ -49,38 +53,102 @@ class NumericFailure(Exception):
     """A computation broke down on input that passed validation."""
 
 
-def _fmt(value: float) -> str:
-    """Canonical lossless decimal form of a double."""
-    return format(float(value), ".17g")
+def _parser(kind: type, need: str = "", holds=lambda value: True):
+    """Parser of one int, finite float or word for which holds(value) is true.
+
+    It takes (key, text) and returns the value's canonical text: str(int)
+    for ints, the shortest round-trip form without a trailing '.0' for
+    floats, and the word itself.
+    """
+
+    def parse(key: str, text: str) -> str:
+        try:
+            value = kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {what}, got {text!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite")
+        if not holds(value):
+            raise ConfigError(f"{key} must be {need}, got {text!r}")
+        return repr(value).removesuffix(".0") if kind is float else str(value)
+
+    return parse
 
 
-_COMMON_DEFAULTS = {
-    "physics.hbar": "1",
-    "physics.mass": "1",
-    "physics.omega": "1",
+_REAL = _parser(float)
+_POSITIVE = _parser(float, "positive", lambda x: x > 0)
+_NONNEGATIVE = _parser(float, "nonnegative", lambda x: x >= 0)
+_COUNT = _parser(int, "nonnegative", lambda n: n >= 0)
+
+
+def _reals(count: int | None = None):
+    """Parser of count comma-separated finite floats, or with no count of one or more distinct ones."""
+
+    def parse(key: str, text: str) -> str:
+        values = [_REAL(key, part) for part in text.split(",") if part.strip()]
+        if count is not None and len(values) != count:
+            raise ConfigError(f"{key} must have {count} entries, got {len(values)}")
+        if count is None and (not values or len(set(map(float, values))) != len(values)):
+            raise ConfigError(f"{key} must list one or more distinct values; each names its own output file")
+        return ",".join(values)
+
+    return parse
+
+
+# Every key of every command, with its parser and default; any other key is unknown.
+# fig1 and query negativity depend on the pair and the mixing angle only.
+KEYS = {
+    "fig1": {
+        "physics.k": (_COUNT, "1"),
+        "physics.l": (_COUNT, "0"),
+        "numeric.theta_min": (_REAL, "0"),
+        "numeric.theta_max": (_REAL, repr(math.pi)),
+        "numeric.theta_step": (_POSITIVE, repr(math.pi / 200)),
+    },
+    "fig3": {
+        "physics.hbar": (_POSITIVE, "1"),
+        "physics.mass": (_POSITIVE, "1"),
+        "physics.omega": (_POSITIVE, "1"),
+        "physics.gamma": (_reals(), "0.1"),
+        "physics.decay_rate": (_POSITIVE, "0.1"),
+        "physics.nbar": (_NONNEGATIVE, "2"),
+        "physics.mbar": (_NONNEGATIVE, "4"),
+        "physics.displacement": (_reals(4), "1,1,1,1"),
+        "physics.initial_covariance": (
+            _parser(str, "adjusted or thermal", lambda word: word in ("adjusted", "thermal")), "adjusted"
+        ),
+        "numeric.t_max": (_POSITIVE, "6"),
+        "numeric.t_step": (_POSITIVE, "0.005"),
+        "numeric.backflow_tol": (_REAL, "1e-09"),
+    },
+    "eigen": {
+        "k": (_COUNT, "1"),
+        "l": (_COUNT, "0"),
+        "gamma": (_REAL, "0"),
+        "hbar": (_POSITIVE, "1"),
+        "omega": (_POSITIVE, "1"),
+    },
+    "fidelity": {
+        "nbar1": (_NONNEGATIVE, "0"),
+        "nbar2": (_NONNEGATIVE, "0"),
+        "d1": (_reals(2), "0,0"),
+        "d2": (_reals(2), "0,0"),
+        "hbar": (_POSITIVE, "1"),
+    },
+    "coherence": {
+        "nbar": (_NONNEGATIVE, "0"),
+        "d": (_reals(2), "0,0"),
+        "hbar": (_POSITIVE, "1"),
+    },
+    "negativity": {
+        "k": (_COUNT, "1"),
+        "l": (_COUNT, "0"),
+        "theta": (_REAL, "0"),
+        "mode": (_parser(int, "1 or 2", lambda mode: mode in (1, 2)), "1"),
+    },
 }
-
-FIG1_DEFAULTS = {
-    **_COMMON_DEFAULTS,
-    "physics.k": "1",
-    "physics.l": "0",
-    "numeric.theta_min": "0",
-    "numeric.theta_max": _fmt(math.pi),
-    "numeric.theta_step": _fmt(math.pi / 200),
-}
-
-FIG3_DEFAULTS = {
-    **_COMMON_DEFAULTS,
-    "physics.gamma": "0.1",
-    "physics.decay_rate": "0.1",
-    "physics.nbar": "2",
-    "physics.mbar": "4",
-    "physics.displacement": "1,1,1,1",
-    "physics.initial_covariance": "adjusted",
-    "numeric.t_max": "6",
-    "numeric.t_step": "0.005",
-    "numeric.backflow_tol": "1e-09",
-}
+QUERIES = ("eigen", "fidelity", "coherence", "negativity")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -111,116 +179,64 @@ def parse_overrides(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def _merged(defaults: dict[str, str], sources: list[dict[str, str]]) -> dict[str, str]:
-    merged = dict(defaults)
+def _resolve(command: str, sources: list[dict[str, str]]) -> dict[str, str]:
+    """The command's defaults overridden by each source in turn, every value canonical."""
+    table = KEYS[command]
+    merged = {key: default for key, (_, default) in table.items()}
     for source in sources:
         for key, value in source.items():
-            if key not in defaults:
+            if key not in table:
                 raise ConfigError(f"unknown configuration key {key!r}")
             merged[key] = value
-    return merged
-
-
-def _as_float(cfg: dict[str, str], key: str) -> float:
-    try:
-        value = float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite")
-    return value
-
-
-def _as_int(cfg: dict[str, str], key: str) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from exc
-
-
-def _as_floats(cfg: dict[str, str], key: str, count: int | None = None) -> list[float]:
-    parts = [p for p in cfg[key].split(",") if p.strip()]
-    try:
-        values = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be comma-separated numbers, got {cfg[key]!r}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{key} must be finite")
-    if count is not None and len(values) != count:
-        raise ConfigError(f"{key} must have {count} entries, got {len(values)}")
-    return values
+    return {key: table[key][0](key, value) for key, value in merged.items()}
 
 
 def resolve_config(experiment: str, path: str | None, sets: list[str]) -> dict[str, str]:
-    """Defaults + config file + --set overrides, with derived keys filled in.
+    """Defaults + config file + --set overrides, each value in canonical form.
 
     The result is fully materialized: every value the run consumes appears
     as a canonical string, so dumping and re-loading it cannot change the
     output.
     """
-    defaults = {"fig1": FIG1_DEFAULTS, "fig3": FIG3_DEFAULTS}[experiment]
-    sources = []
-    if path is not None:
-        sources.append(load_config_file(path))
-    sources.append(parse_overrides(sets))
-    cfg = _merged(defaults, sources)
-
-    if experiment == "fig1":
-        k, ell = _as_int(cfg, "physics.k"), _as_int(cfg, "physics.l")
-        if k < 0 or ell < 0:
-            raise ConfigError("quantum numbers must be nonnegative")
-        for key in ("numeric.theta_min", "numeric.theta_max", "numeric.theta_step"):
-            cfg[key] = _fmt(_as_float(cfg, key))
-        if _as_float(cfg, "numeric.theta_step") <= 0:
-            raise ConfigError("numeric.theta_step must be positive")
-        if _as_float(cfg, "numeric.theta_max") < _as_float(cfg, "numeric.theta_min"):
-            raise ConfigError("numeric.theta_max must not be below numeric.theta_min")
-    else:
-        gammas = _as_floats(cfg, "physics.gamma")
-        if not gammas:
-            raise ConfigError("physics.gamma must list at least one value")
-        if len(set(gammas)) != len(gammas):
-            raise ConfigError("physics.gamma lists a value twice; each value names its own output file")
-        cfg["physics.gamma"] = ",".join(_fmt(g) for g in gammas)
-        if _as_float(cfg, "physics.decay_rate") <= 0:
-            raise ConfigError("physics.decay_rate must be positive for the fig3 time axis")
-        if _as_float(cfg, "physics.nbar") < 0 or _as_float(cfg, "physics.mbar") < 0:
-            raise ConfigError("occupation numbers must be nonnegative")
-        _as_floats(cfg, "physics.displacement", 4)
-        if cfg["physics.initial_covariance"] not in ("adjusted", "thermal"):
-            raise ConfigError("physics.initial_covariance must be 'adjusted' or 'thermal'")
-        for key in ("numeric.t_max", "numeric.t_step", "numeric.backflow_tol"):
-            cfg[key] = _fmt(_as_float(cfg, key))
-        if _as_float(cfg, "numeric.t_step") <= 0 or _as_float(cfg, "numeric.t_max") <= 0:
-            raise ConfigError("time grid values must be positive")
-
-    for key in ("physics.hbar", "physics.mass", "physics.omega"):
-        if _as_float(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be positive")
-        cfg[key] = _fmt(_as_float(cfg, key))
+    sources = [] if path is None else [load_config_file(path)]
+    cfg = _resolve(experiment, [*sources, parse_overrides(sets)])
+    if experiment == "fig1" and float(cfg["numeric.theta_max"]) < float(cfg["numeric.theta_min"]):
+        raise ConfigError("numeric.theta_max must not be below numeric.theta_min")
     return cfg
 
 
-def _params(cfg: dict[str, str], gamma: float) -> OscillatorParams:
-    return OscillatorParams(
-        mass=_as_float(cfg, "physics.mass"),
-        omega=_as_float(cfg, "physics.omega"),
-        hbar=_as_float(cfg, "physics.hbar"),
-        gamma=gamma,
-    )
+def _axis(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... up to stop, which a rounding error of 1e-9 steps still includes."""
+    return start + step * np.arange(int(math.floor((stop - start) / step + 1e-9)) + 1)
+
+
+def _pair(k: int, ell: int) -> FockPairState:
+    """|k> x |l> at unit coupling, so that its time is the mixing angle theta = gamma*t.
+
+    Pairs past the negativity's quanta limit fail here, before their
+    (k + l + 1)^2 generator is built.
+    """
+    if k + ell > MAX_QUANTA:
+        raise NumericFailure(
+            f"negativity at k + l = {k + ell}: past {MAX_QUANTA} quanta the negativity scan leaves the floats"
+        )
+    return FockPairState(k, ell, OscillatorParams(gamma=1.0))
+
+
+def _negativity(probs: np.ndarray, quanta: int):
+    try:
+        return negativity(probs)
+    except NegativityError as exc:
+        raise NumericFailure(f"negativity at k + l = {quanta}: {exc}") from exc
 
 
 def run_fig1(cfg: dict[str, str]) -> dict:
     """Sweep theta and tabulate mutual information and both negativities."""
-    k, ell = _as_int(cfg, "physics.k"), _as_int(cfg, "physics.l")
-    # curves depend on the dimensionless angle theta = gamma*t only, so
-    # the sweep runs at unit coupling with t = theta
-    state = FockPairState(k, ell, _params(cfg, gamma=1.0))
-    lo = _as_float(cfg, "numeric.theta_min")
-    hi = _as_float(cfg, "numeric.theta_max")
-    step = _as_float(cfg, "numeric.theta_step")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    thetas = lo + step * np.arange(count)
+    k, ell = int(cfg["physics.k"]), int(cfg["physics.l"])
+    state = _pair(k, ell)
+    keys = ("numeric.theta_min", "numeric.theta_max", "numeric.theta_step")
+    lo, hi, step = (float(cfg[key]) for key in keys)
+    thetas = _axis(lo, hi, step)
     probs = mode_populations(state, thetas)
     return {
         "columns": {
@@ -232,17 +248,14 @@ def run_fig1(cfg: dict[str, str]) -> dict:
     }
 
 
-def _negativity(probs: np.ndarray, quanta: int):
-    try:
-        return negativity(probs)
-    except NegativityError as exc:
-        raise NumericFailure(f"negativity at k + l = {quanta}: {exc}") from exc
+def _vector(text: str) -> np.ndarray:
+    return np.array([float(part) for part in text.split(",")])
 
 
 def _fig3_initial_state(cfg: dict[str, str]) -> GaussianState:
-    hbar = _as_float(cfg, "physics.hbar")
-    nbar = _as_float(cfg, "physics.nbar")
-    d = np.asarray(_as_floats(cfg, "physics.displacement", 4))
+    hbar = float(cfg["physics.hbar"])
+    nbar = float(cfg["physics.nbar"])
+    d = _vector(cfg["physics.displacement"])
     cov = np.zeros((4, 4))
     for mode in (0, 1):
         sl = slice(2 * mode, 2 * mode + 2)
@@ -272,14 +285,12 @@ _FIG3_KEYS = {
 
 def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
     """Propagate one coupled dissipative run and tabulate the witnesses."""
-    rate = _as_float(cfg, "physics.decay_rate")
-    bath = ThermalBath(rate, _as_float(cfg, "physics.mbar"))
+    rate = float(cfg["physics.decay_rate"])
+    bath = ThermalBath(rate, float(cfg["physics.mbar"]))
     initial = _fig3_initial_state(cfg)
-    t_max = _as_float(cfg, "numeric.t_max")
-    t_step = _as_float(cfg, "numeric.t_step")
-    count = int(math.floor(t_max / t_step + 1e-9)) + 1
-    scaled = t_step * np.arange(count)  # dimensionless Gamma*t axis
-    params = _params(cfg, gamma)
+    scaled = _axis(0.0, float(cfg["numeric.t_max"]), float(cfg["numeric.t_step"]))  # dimensionless Gamma*t
+    mass, omega, hbar = (float(cfg[key]) for key in ("physics.mass", "physics.omega", "physics.hbar"))
+    params = OscillatorParams(mass=mass, omega=omega, hbar=hbar, gamma=gamma)
     try:
         record = evolve_coupled(initial, params, bath, scaled / rate)
     except (ArithmeticError, ValueError) as exc:  # the propagation or its trajectory checks
@@ -290,7 +301,7 @@ def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
             keys = [_FIG3_KEYS[name] for name in exc.parameters]
             reason += " (" + ", ".join(f"{key} = {cfg[key]}" for key in keys) + ")"
         raise NumericFailure(f"propagation at gamma = {gamma!r} failed: {reason}") from exc
-    tol = _as_float(cfg, "numeric.backflow_tol")
+    tol = float(cfg["numeric.backflow_tol"])
     backflow = [(a * rate, b * rate) for a, b in record.backflow_intervals]
     rises = [(a * rate, b * rate) for a, b in rising_intervals(record.times, record.coherence_track, tol)]
     c0 = record.coherence_track[0]
@@ -317,14 +328,14 @@ def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
 def _csv_text(result: dict) -> str:
     columns = result["columns"]
     table = np.array(list(columns.values()), dtype=float).T
-    # one C-level % over every cell; "%.17g" % x is _fmt(x), inf, nan and -0 included
+    # one C-level % over every cell; "%.17g" % x is format(x, ".17g"), inf, nan and -0 included
     row = ",".join(["%.17g"] * table.shape[1])
     lines = [",".join(columns), "\n".join([row] * len(table)) % tuple(table.ravel().tolist())]
     summary = result.get("summary")
     if summary:
         lines.append(f"# backflow_intervals,{len(summary['backflow_intervals'])}")
         for a, b in summary["backflow_intervals"]:
-            lines.append(f"# backflow_interval,{_fmt(a)},{_fmt(b)}")
+            lines.append("# backflow_interval,%.17g,%.17g" % (a, b))
     return "\n".join(lines) + "\n"
 
 
@@ -362,79 +373,52 @@ def _json_text(experiment: str, result: dict, cfg: dict[str, str]) -> str:
     return '{\n  "columns": {\n' + columns + "\n  },\n" + rest[2:] + "\n"
 
 
-QUERY_PARAMS = {
-    "eigen": {"k": "1", "l": "0", "gamma": "0", "hbar": "1", "mass": "1", "omega": "1"},
-    "fidelity": {"nbar1": "0", "nbar2": "0", "d1": "0,0", "d2": "0,0", "hbar": "1"},
-    "coherence": {"nbar": "0", "d": "0,0", "hbar": "1"},
-    "negativity": {"k": "1", "l": "0", "theta": "0", "mode": "1", "hbar": "1", "mass": "1", "omega": "1"},
-}
+def _query_value(quantity: str, cfg: dict[str, str]) -> float:
+    if quantity == "eigen":
+        osc = OscillatorParams(omega=float(cfg["omega"]), hbar=float(cfg["hbar"]), gamma=float(cfg["gamma"]))
+        return energy(int(cfg["k"]), int(cfg["l"]), osc)
+    if quantity == "negativity":
+        k, ell = int(cfg["k"]), int(cfg["l"])
+        probs = mode_populations(_pair(k, ell), float(cfg["theta"]), int(cfg["mode"]))
+        return _negativity(probs, k + ell)
+    # thermal states displaced to d, or d1 and d2 for the fidelity
+    hbar = float(cfg["hbar"])
+    tags = ("1", "2") if quantity == "fidelity" else ("",)
+    states = [GaussianState(_vector(cfg["d" + tag]), thermal_state(float(cfg["nbar" + tag]), hbar).cov, hbar)
+              for tag in tags]
+    return fidelity(*states) if quantity == "fidelity" else coherence(*states)
 
 
 def run_query(quantity: str, params: dict[str, str]) -> str:
     """Evaluate one scalar quantity and return its printable form."""
-    cfg = _merged(QUERY_PARAMS[quantity], [params])
-    if quantity == "eigen":
-        osc = OscillatorParams(
-            mass=_as_float(cfg, "mass"), omega=_as_float(cfg, "omega"),
-            hbar=_as_float(cfg, "hbar"), gamma=_as_float(cfg, "gamma"),
-        )
-        value = energy(_as_int(cfg, "k"), _as_int(cfg, "l"), osc)
-        return f"{value:.12g}"
-    if quantity == "fidelity":
-        hbar = _as_float(cfg, "hbar")
-        states = []
-        for tag in ("1", "2"):
-            base = thermal_state(_as_float(cfg, "nbar" + tag), hbar)
-            d = np.asarray(_as_floats(cfg, "d" + tag, 2))
-            states.append(GaussianState(d, base.cov, hbar))
-        return f"{fidelity(states[0], states[1]):.12g}"
-    if quantity == "coherence":
-        hbar = _as_float(cfg, "hbar")
-        base = thermal_state(_as_float(cfg, "nbar"), hbar)
-        d = np.asarray(_as_floats(cfg, "d", 2))
-        return f"{coherence(GaussianState(d, base.cov, hbar)):.12g} bits"
-    if quantity == "negativity":
-        k, ell = _as_int(cfg, "k"), _as_int(cfg, "l")
-        if _as_int(cfg, "mode") not in (1, 2):
-            raise ConfigError("mode must be 1 or 2")
-        osc = OscillatorParams(
-            mass=_as_float(cfg, "mass"), omega=_as_float(cfg, "omega"),
-            hbar=_as_float(cfg, "hbar"), gamma=1.0,
-        )
-        probs = mode_populations(FockPairState(k, ell, osc), _as_float(cfg, "theta"), _as_int(cfg, "mode"))
-        return f"{_negativity(probs, k + ell):.12g}"
-    raise ConfigError(f"unknown query quantity {quantity!r}")
-
-
-def _dump(cfg: dict[str, str]) -> str:
-    return "\n".join(f"{key}={value}" for key, value in sorted(cfg.items())) + "\n"
-
-
-def _with_suffix(path: Path, suffix: str) -> Path:
-    return path.with_name(path.stem + suffix + path.suffix)
+    if quantity not in QUERIES:
+        raise ConfigError(f"unknown query quantity {quantity!r}")
+    cfg = _resolve(quantity, [params])
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = _query_value(quantity, cfg)
+        except OverflowError:  # an integer too large for a float
+            value = math.inf
+    if not math.isfinite(value):
+        raise NumericFailure(f"{quantity} is not finite ({value}) at these inputs")
+    return f"{value:.12g}" + (" bits" if quantity == "coherence" else "")
 
 
 def _run_experiment(args) -> int:
     cfg = resolve_config(args.command, args.config, args.set)
     if args.dump_config:
-        sys.stdout.write(_dump(cfg))
+        sys.stdout.write("".join(f"{key}={value}\n" for key, value in sorted(cfg.items())))
         return 0
     fmt = args.format
     out = Path(args.out) if args.out else Path(f"{args.command}.{fmt}")
-    if args.command == "fig1":
-        result = run_fig1(cfg)
-        text = _csv_text(result) if fmt == "csv" else _json_text("fig1", result, cfg)
-        out.write_text(text)
-        print(out)
-        return 0
-    gammas = _as_floats(cfg, "physics.gamma")
-    # shortest round-trip form, so distinct values (rejected if repeated) never share a file
+    gammas = cfg["physics.gamma"].split(",") if args.command == "fig3" else [None]
+    # canonical forms are shortest round trips, so distinct values (repeats are rejected) never share a file
     targets = [out] if len(gammas) == 1 else [
-        _with_suffix(out, "_gamma" + repr(g).removesuffix(".0")) for g in gammas
+        out.with_name(f"{out.stem}_gamma{gamma}{out.suffix}") for gamma in gammas
     ]
     for gamma, target in zip(gammas, targets):
-        result = run_fig3(cfg, gamma)
-        text = _csv_text(result) if fmt == "csv" else _json_text("fig3", result, cfg)
+        result = run_fig1(cfg) if gamma is None else run_fig3(cfg, float(gamma))
+        text = _csv_text(result) if fmt == "csv" else _json_text(args.command, result, cfg)
         target.write_text(text)
         print(target)
     return 0
@@ -460,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dump-config", action="store_true",
                         help="print the resolved configuration and exit")
     qp = sub.add_parser("query", help="print a single quantity")
-    qp.add_argument("quantity", choices=sorted(QUERY_PARAMS))
+    qp.add_argument("quantity", choices=sorted(QUERIES))
     qp.add_argument("params", nargs="*", metavar="KEY=VALUE")
     return parser
 

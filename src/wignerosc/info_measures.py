@@ -25,6 +25,7 @@ from .gaussian_states import GaussianState
 from .quadrature import QuadratureRule, gauss_hermite, laguerre_table
 
 __all__ = [
+    "MAX_QUANTA",
     "NegativityError",
     "expectation_value",
     "gaussian_field",
@@ -124,6 +125,7 @@ def mutual_information(state: FockPairState, t=0.0):
     return float(info) if info.ndim == 0 else info
 
 
+MAX_QUANTA = 313  # largest N whose negativity scan stays in the floats
 _SCAN_BUDGET = 1 << 20  # scan values of f held at once by negativity
 _NEWTON_CAP = 64  # iterations before negativity gives up; random pairs up to N = 200 need at most 5
 
@@ -135,15 +137,15 @@ class NegativityError(ArithmeticError):
 def _scaled_table(n: int, v: np.ndarray) -> np.ndarray:
     """e^{-v/2} L_j(v) for j = 0..n; every entry lies in [-1, 1] for v >= 0.
 
-    The recurrence runs unscaled, so past n = 313 it leaves the floats on
-    the negativity scan; that raises NegativityError.
+    The recurrence runs unscaled, so past n = MAX_QUANTA it leaves the
+    floats on the negativity scan; that raises NegativityError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         table = laguerre_table(n, v) * np.exp(-0.5 * v)
     if not np.isfinite(table).all():
         raise NegativityError(
             f"the Laguerre values of order {n} leave the floats on the negativity scan "
-            "(at most 313 quanta are supported)"
+            f"(at most {MAX_QUANTA} quanta are supported)"
         )
     return table
 
@@ -176,10 +178,10 @@ def negativity(populations):
     whenever |s| <= 1e-12), or, where f is rounding noise and s with it,
     once (b - a) max(|f(a)|, |f(b)|) <= 1e-18.
     The result is thus exact to rounding unless two roots share one scan
-    cell, whose lobe is then missed.  Rows are processed in chunks of at
-    most _SCAN_BUDGET scan values, so memory does not grow with the number
-    of rows.  Past N = 313 quanta the Laguerre values leave the floats and
-    NegativityError is raised.
+    cell, whose lobe is then missed.  The scan table is built once; rows
+    are processed in chunks of at most _SCAN_BUDGET scan values, so memory
+    does not grow with the number of rows.  Past N = MAX_QUANTA quanta the
+    Laguerre values leave the floats and NegativityError is raised.
     """
     probs = np.asarray(populations, dtype=float)
     if probs.ndim not in (1, 2) or probs.shape[-1] == 0:
@@ -189,18 +191,27 @@ def negativity(populations):
     rows = np.atleast_2d(probs)
     n = rows.shape[1] - 1
     v = np.linspace(0.0, math.sqrt(4 * n + 6 + 12 * math.sqrt(n + 1)), 64 * (n + 1) + 257) ** 2
+    table = _scaled_table(n, v)
     chunk = max(1, _SCAN_BUDGET // v.size)
-    if rows.shape[0] > chunk:
-        return np.concatenate([negativity(rows[i : i + chunk]) for i in range(0, rows.shape[0], chunk)])
+    out = np.empty(rows.shape[0])
+    for i in range(0, rows.shape[0], chunk):
+        out[i : i + chunk] = _negativity_rows(rows[i : i + chunk], v, table)
+    return float(out[0]) if probs.ndim == 1 else out
+
+
+def _negativity_rows(rows: np.ndarray, v: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """negativity of each row, with the scan points v and their scaled Laguerre table."""
+    n = rows.shape[1] - 1
     signs = (-1.0) ** np.arange(n + 1)
     f_coeffs = signs * rows
     tail = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]  # sum_{i>=j} P_i
     tail_coeffs = 2.0 * signs * (2.0 * tail - rows)
     slope_coeffs = f_coeffs - np.cumsum(f_coeffs[:, ::-1], axis=1)[:, ::-1]  # -sum_{i>j} c_i: Q'
 
-    scan = f_coeffs @ _scaled_table(n, v)
+    scan = f_coeffs @ table
     below = scan < 0.0
-    which, cell = np.nonzero(below[:, :-1] != below[:, 1:])
+    # flat indices in row-major order, as np.nonzero gives them, but much faster
+    which, cell = np.divmod(np.flatnonzero(below[:, :-1] != below[:, 1:]), v.size - 1)
     lo, hi = v[cell], v[cell + 1]
     lo_below = below[which, cell]
     f_lo, f_hi = scan[which, cell], scan[which, cell + 1]
@@ -237,7 +248,7 @@ def negativity(populations):
     out = np.zeros(rows.shape[0])
     np.add.at(out, which, np.maximum(at_root - before, 0.0))
     out[which[last]] += np.maximum(-at_root[last], 0.0)  # last root to infinity, T(inf) = 0
-    return float(out[0]) if probs.ndim == 1 else out
+    return out
 
 
 def expectation_value(field: WignerField, observable: Callable, rule: QuadratureRule | None = None) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from wignerosc import __version__
 from wignerosc.cli import (
+    KEYS,
     ConfigError,
     _csv_text,
     _json_text,
@@ -74,6 +76,36 @@ class TestQuery:
         assert err.count("\n") == 1
         assert not target.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["query", "negativity", "k=10000000", "l=0"],
+        ["fig1", "--set", "physics.k=10000000", "--out", "f.csv"],
+    ], ids=["query", "fig1"])
+    def test_oversized_pair_exits_3_before_any_work(self, argv, tmp_path, monkeypatch, capsys):
+        # its (k + l + 1)^2 generator alone would take 728 TiB
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numeric failure: negativity at k + l = 10000000: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params,code,printed", [
+        (["eigen", "k=1", "l=0", "gamma=1e308", "hbar=10"], 3, ""),  # hbar * gamma overflows
+        (["coherence", "nbar=0", "d=1e200,0"], 3, ""),  # |d|^2 overflows, the entropy is nan
+        (["fidelity", "d1=1e200,0"], 0, "0\n"),  # the overlap underflows to its true value
+        (["eigen", f"k={10**400}"], 3, ""),  # an integer too large for a float
+    ], ids=["eigen", "coherence", "fidelity", "eigen_huge_k"])
+    def test_non_finite_results_exit_3(self, params, code, printed, capsys):
+        assert main(["query", *params]) == code
+        out, err = capsys.readouterr()
+        assert out == printed
+        if code == 3:
+            assert err.startswith(f"numeric failure: {params[0]} is not finite ") and err.count("\n") == 1
+        else:
+            assert err == ""
+
     def test_unknown_key_exits_2(self, capsys):
         assert main(["query", "eigen", "bogus=1"]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -117,6 +149,46 @@ class TestConfigHandling:
         # fig1 is exact: nothing is left for quadrature or grid keys to tune
         assert main(["fig1", "--set", f"{key}=1"]) == 2
         assert "unknown configuration key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", [
+        ("fig1", "physics.mass"), ("fig1", "physics.omega"), ("fig1", "physics.hbar"),
+        ("negativity", "mass"), ("negativity", "omega"), ("negativity", "hbar"), ("eigen", "mass"),
+    ])
+    def test_inert_keys_are_unknown(self, command, key, capsys):
+        # fig1 and the negativity depend on the pair and the angle only, the eigenvalue not on the mass
+        argv = ["fig1", "--set", f"{key}=1"] if command == "fig1" else ["query", command, f"{key}=1"]
+        assert main(argv) == 2
+        assert "unknown configuration key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,typed,plain", [
+        ("fig1", ["physics.k=02"], ["physics.k=2"]),
+        ("fig3",
+         ["physics.decay_rate=0.10", "physics.nbar=2.0", "physics.displacement=1, 1.0,1,1"],
+         ["physics.decay_rate=0.1", "physics.nbar=2", "physics.displacement=1,1,1,1"]),
+    ], ids=["fig1", "fig3"])
+    def test_spellings_of_one_config_give_identical_bytes(self, command, typed, plain, tmp_path, capsys):
+        fast = {"fig1": FAST_FIG1, "fig3": FAST_FIG3}[command]
+        dumps, files = [], []
+        for index, sets in enumerate((typed, plain)):
+            flags = [arg for value in sets for arg in ("--set", value)] + fast
+            assert main([command, *flags, "--dump-config"]) == 0
+            dumps.append(capsys.readouterr().out)
+            out = tmp_path / f"{index}.json"
+            assert main([command, *flags, "--format", "json", "--out", str(out)]) == 0
+            assert capsys.readouterr().out == f"{out}\n"
+            files.append(out.read_bytes())
+        assert dumps[0] == dumps[1]
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("command", ["fig1", "fig3"])
+    def test_default_dump_is_shortest_round_trip(self, command, capsys):
+        assert main([command, "--dump-config"]) == 0
+        dump = capsys.readouterr().out
+        assert "0.10000000000000001" not in dump and "3.1415926535897931" not in dump
+        for line in dump.splitlines():
+            for part in line.partition("=")[2].split(","):
+                if part[0].isdigit():
+                    assert part == repr(float(part)).removesuffix(".0"), line
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
@@ -196,6 +268,19 @@ class TestFig1Command:
 
 
 class TestFig3Command:
+    def test_dump_config_round_trip(self, tmp_path, capsys):
+        sets = [*FAST_FIG3, "--set", "physics.gamma=0,0.1"]
+        assert main(["fig3", "--dump-config", *sets]) == 0
+        cfg = tmp_path / "dumped.cfg"
+        cfg.write_text(capsys.readouterr().out)
+        for name, flags in (("first", sets), ("second", ["--config", str(cfg)])):
+            (tmp_path / name).mkdir()
+            assert main(["fig3", "--format", "json", "--out", str(tmp_path / name / "f.json"), *flags]) == 0
+        first = {p.name: p.read_bytes() for p in (tmp_path / "first").iterdir()}
+        second = {p.name: p.read_bytes() for p in (tmp_path / "second").iterdir()}
+        assert sorted(first) == ["f_gamma0.1.json", "f_gamma0.json"]
+        assert first == second
+
     def test_csv_schema_and_summary(self, tmp_path):
         out = tmp_path / "fig3.csv"
         assert main(["fig3", "--out", str(out), *FAST_FIG3]) == 0
@@ -384,6 +469,27 @@ def test_readme_commands_succeed(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for command in commands:
         assert main(shlex.split(command)[1:]) == 0, command
+
+
+def _readme_key_tables() -> dict[str, dict[str, str]]:
+    """key -> default of each '#### `<command>`' table, under the query's name for a query."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tables = {}
+    for section in text.split("\n#### ")[1:]:
+        heading, _, body = section.partition("\n")
+        command = heading.strip("`").split()[-1]
+        tables[command] = dict(re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", body.split("\n#")[0], re.M))
+    return tables
+
+
+def test_readme_key_tables_match_cli():
+    # the README lists exactly the keys and defaults of the CLI's table, in canonical form
+    assert _readme_key_tables() == {
+        command: {key: default for key, (_, default) in keys.items()} for command, keys in KEYS.items()
+    }
+    for keys in KEYS.values():
+        for key, (parse, default) in keys.items():
+            assert parse(key, default) == default
 
 
 def test_readme_library_example_runs():

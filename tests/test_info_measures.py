@@ -19,6 +19,7 @@ from wignerosc.fock_dynamics import (
 from wignerosc import info_measures
 from wignerosc.gaussian_states import GaussianState, thermal_state
 from wignerosc.info_measures import (
+    MAX_QUANTA,
     NegativityError,
     expectation_value,
     gaussian_field,
@@ -188,10 +189,11 @@ class TestNegativity:
         monkeypatch.setattr(info_measures, "_SCAN_BUDGET", 2000)  # chunks of 2 rows
         assert negativity(probs) == pytest.approx(rows, abs=1e-15)
 
-    # (0,43) has roots in the tail where f is rounding noise, so are its Newton steps
-    @pytest.mark.parametrize("k,ell,most", [(2, 1, 7), (5, 0, 7), (25, 25, 10), (0, 43, 7)])
+    # (0,43) has roots in the tail where f is rounding noise, so are its Newton steps;
+    # (150,150) takes 4 chunks of rows, which share one scan table (a table per chunk made 16)
+    @pytest.mark.parametrize("k,ell,most", [(2, 1, 7), (5, 0, 7), (25, 25, 10), (0, 43, 7), (150, 150, 13)])
     def test_laguerre_tables_per_sweep(self, k, ell, most, monkeypatch):
-        # one scan table plus one per Newton iteration; 40 bisection steps took 42
+        # one scan table plus one per Newton iteration and chunk; 40 bisection steps took 42
         calls = []
         table = info_measures.laguerre_table
         monkeypatch.setattr(info_measures, "laguerre_table", lambda n, x: calls.append(n) or table(n, x))
@@ -206,9 +208,10 @@ class TestNegativity:
 
     @pytest.mark.filterwarnings("error")
     def test_past_float_range_raises(self):
-        assert negativity(mode_populations(FockPairState(313, 0, UNIT), 0.3, 1)) > 0.0
-        with pytest.raises(NegativityError, match="order 314"):
-            negativity(mode_populations(FockPairState(314, 0, UNIT), 0.3, 1))
+        assert MAX_QUANTA == 313
+        assert negativity(mode_populations(FockPairState(MAX_QUANTA, 0, UNIT), 0.3, 1)) > 0.0
+        with pytest.raises(NegativityError, match=f"order {MAX_QUANTA + 1}"):
+            negativity(mode_populations(FockPairState(MAX_QUANTA + 1, 0, UNIT), 0.3, 1))
 
 
 class TestExpectationValue:
