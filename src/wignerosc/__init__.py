@@ -59,6 +59,7 @@ from .open_dynamics import (
     evolve_coupled,
     rising_intervals,
     thermalize_closed_form,
+    vacuum_scale,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

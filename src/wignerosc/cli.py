@@ -38,7 +38,7 @@ from .gaussian_states import (
     thermal_state,
 )
 from .info_measures import MAX_QUANTA, NegativityError, mutual_information, negativity
-from .open_dynamics import evolve_coupled, rising_intervals
+from .open_dynamics import backflow_intervals, evolve_coupled, rising_intervals, vacuum_scale
 
 __all__ = [
     "KEYS", "ConfigError", "NumericFailure", "main", "resolve_config", "run_fig1", "run_fig3", "run_query",
@@ -252,25 +252,24 @@ def _vector(text: str) -> np.ndarray:
     return np.array([float(part) for part in text.split(",")])
 
 
-def _fig3_initial_state(cfg: dict[str, str]) -> GaussianState:
-    hbar = float(cfg["physics.hbar"])
+def _fig3_initial_state(cfg: dict[str, str], params: OscillatorParams) -> GaussianState:
+    """Physical displacement, each mode's covariance isotropic in vacuum units."""
     nbar = float(cfg["physics.nbar"])
     d = _vector(cfg["physics.displacement"])
+    scale = vacuum_scale(params)
+    quanta = [(v / s) * (v / s) for v, s in zip(d.tolist(), scale.tolist())]  # floats: past the range is inf
+    adjusted = cfg["physics.initial_covariance"] == "adjusted"
     cov = np.zeros((4, 4))
     for mode in (0, 1):
         sl = slice(2 * mode, 2 * mode + 2)
-        if cfg["physics.initial_covariance"] == "adjusted":
-            # isotropic block sized so the displaced mode carries nbar quanta
-            a = hbar * (4 * nbar + 2 - float(d[sl] @ d[sl]) / hbar) / 2.0
-            if a < hbar:
-                raise ConfigError(
-                    "physics.nbar too small for the requested displacement; "
-                    "use physics.initial_covariance=thermal"
-                )
-        else:
-            a = (2 * nbar + 1) * hbar
-        cov[sl, sl] = a * np.eye(2)
-    return GaussianState(d, cov, hbar)
+        # adjusted: sized so the displaced mode carries nbar quanta
+        a = (4 * nbar + 2 - sum(quanta[sl])) / 2.0 if adjusted else 2 * nbar + 1
+        if a < 1.0:
+            raise ConfigError(
+                "physics.nbar too small for the requested displacement; use physics.initial_covariance=thermal"
+            )
+        cov[sl, sl] = a * np.diag(scale[sl] ** 2)
+    return GaussianState(d, cov, params.hbar)
 
 
 # OscillatorParams and ThermalBath fields by the fig3 keys that set them
@@ -278,7 +277,6 @@ _FIG3_KEYS = {
     "mass": "physics.mass",
     "omega": "physics.omega",
     "hbar": "physics.hbar",
-    "decay_rate": "physics.decay_rate",
     "mean_occupation": "physics.mbar",
 }
 
@@ -287,28 +285,25 @@ def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
     """Propagate one coupled dissipative run and tabulate the witnesses."""
     rate = float(cfg["physics.decay_rate"])
     bath = ThermalBath(rate, float(cfg["physics.mbar"]))
-    initial = _fig3_initial_state(cfg)
     scaled = _axis(0.0, float(cfg["numeric.t_max"]), float(cfg["numeric.t_step"]))  # dimensionless Gamma*t
     mass, omega, hbar = (float(cfg[key]) for key in ("physics.mass", "physics.omega", "physics.hbar"))
     params = OscillatorParams(mass=mass, omega=omega, hbar=hbar, gamma=gamma)
     try:
+        initial = _fig3_initial_state(cfg, params)
         record = evolve_coupled(initial, params, bath, scaled / rate)
     except (ArithmeticError, ValueError) as exc:  # the propagation or its trajectory checks
         reason = str(exc)
         if hasattr(exc, "index"):  # name the failing sample by its Gamma*t, as in the t column
-            reason = f"{reason.rpartition(' at t = ')[0]} at t = {scaled[exc.index]:.6g}"
+            reason = f"{reason.partition(' at t = ')[0]} at t = {scaled[exc.index]:.6g}"
         if getattr(exc, "parameters", ()):  # name the keys that set the quantity out of range
             keys = [_FIG3_KEYS[name] for name in exc.parameters]
             reason += " (" + ", ".join(f"{key} = {cfg[key]}" for key in keys) + ")"
         raise NumericFailure(f"propagation at gamma = {gamma!r} failed: {reason}") from exc
     tol = float(cfg["numeric.backflow_tol"])
-    backflow = [(a * rate, b * rate) for a, b in record.backflow_intervals]
+    backflow = [(a * rate, b * rate) for a, b in backflow_intervals(record.times, record.fidelity_track, tol)]
     rises = [(a * rate, b * rate) for a, b in rising_intervals(record.times, record.coherence_track, tol)]
     c0 = record.coherence_track[0]
-    if c0 > 0:
-        normalized = record.coherence_track / c0
-    else:
-        normalized = np.where(record.coherence_track == 0.0, 1.0, math.inf)
+    normalized = record.coherence_track / c0 if c0 > 0 else np.where(record.coherence_track == 0.0, 1.0, math.inf)
     return {
         "columns": {
             "t": scaled,

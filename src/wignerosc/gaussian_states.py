@@ -106,15 +106,16 @@ def validate_moments(means, covs, hbar: float, times=None) -> np.ndarray:
         exc.index = int(i)
         raise exc
 
-    bad = ~(np.isfinite(means).all(axis=-1) & np.isfinite(covs).all(axis=(-2, -1)))
-    if bad.any():
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        bad = ~(np.isfinite(means).all(axis=-1) & np.isfinite(covs).all(axis=(-2, -1)))
         fail(np.argmax(bad), "moments must be finite")
     transposed = np.swapaxes(covs, -1, -2)
-    scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
-    bad = np.abs(covs - transposed).max(axis=(-2, -1)) > 1e-12 * scale
-    if bad.any():
-        fail(np.argmax(bad), "covariance must be symmetric")
-    covs = 0.5 * (covs + transposed)
+    gap = np.abs(covs - transposed)
+    if gap.max() > 1e-12:  # below that no point fails, each scale being at least 1
+        bad = gap.max(axis=(-2, -1)) > 1e-12 * np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+        if bad.any():
+            fail(np.argmax(bad), "covariance must be symmetric")
+    covs = 0.5 * covs + 0.5 * transposed  # halves first: no overflow near the top of the floats
     try:
         np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:  # named: the first point with an eigenvalue <= 0
@@ -174,32 +175,31 @@ def reduce_mode(state: GaussianState, mode: int) -> GaussianState:
     return GaussianState(state.mean[i : i + 2], state.cov[i : i + 2, i : i + 2], state.hbar)
 
 
-def _photons(mean, cov):
-    value = 0.25 * (cov[..., 0, 0] + cov[..., 1, 1] + mean[..., 0] ** 2 + mean[..., 1] ** 2 - 2.0)
-    return np.where((value >= -1e-12) & (value < 0.0), 0.0, value)
-
-
 def mean_photon(state: GaussianState) -> float:
     """(sigma_11 + sigma_22 + d1^2 + d2^2 - 2) / 4 in vacuum units."""
     if state.modes != 1:
         raise ValueError("mean photon number is defined for single-mode states")
-    return float(_photons(state.mean / math.sqrt(state.hbar), state.cov / state.hbar))
+    value = 0.25 * (np.trace(state.cov) / state.hbar + state.mean @ state.mean / state.hbar - 2.0)
+    return 0.0 if -1e-12 <= value < 0.0 else float(value)
 
 
 def moment_fidelity(mean1, cov1, mean2, cov2):
     """Single-mode Gaussian fidelity in [0, 1] from moments in vacuum units, over leading axes.
 
-    F = 2 / (sqrt(Delta + delta) - sqrt(delta)) * exp(-d^T sigma_+^-1 d / 2)
+    F = 2 (sqrt(Delta + delta) + sqrt(delta)) / Delta * exp(-d^T sigma_+^-1 d / 2)
     with Delta = det(sigma_+), delta = (det sigma_1 - 1)(det sigma_2 - 1),
     d the difference of the means and sigma_+ the sum of the covariances.
+    The prefactor is 2 / (sqrt(Delta + delta) - sqrt(delta)) without the
+    cancellation of that difference for mixed states, and sigma_+^-1 is
+    its 2 x 2 adjugate over Delta.
     """
     splus = cov1 + cov2
     big_delta = _det2(splus)
     small_delta = np.maximum((_det2(cov1) - 1.0) * (_det2(cov2) - 1.0), 0.0)  # 0 up to roundoff if pure
-    dd = np.asarray(mean1 - mean2)
-    quad = np.sum(dd * np.linalg.solve(splus, dd[..., None])[..., 0], axis=-1)
-    value = 2.0 / (np.sqrt(big_delta + small_delta) - np.sqrt(small_delta)) * np.exp(-0.5 * quad)
-    return np.clip(value, 0.0, 1.0)
+    dq, dp = np.moveaxis(np.asarray(mean1 - mean2), -1, 0)
+    quad = splus[..., 1, 1] * dq * dq - (splus[..., 0, 1] + splus[..., 1, 0]) * dq * dp + splus[..., 0, 0] * dp * dp
+    value = 2.0 * (np.sqrt(big_delta + small_delta) + np.sqrt(small_delta)) / big_delta
+    return np.clip(value * np.exp(-0.5 * quad / big_delta), 0.0, 1.0)
 
 
 def fidelity(state1: GaussianState, state2: GaussianState) -> float:
@@ -212,24 +212,25 @@ def fidelity(state1: GaussianState, state2: GaussianState) -> float:
     return float(moment_fidelity(state1.mean / root, state1.cov / h, state2.mean / root, state2.cov / h))
 
 
-def _xlog2x(value):
-    value = np.asarray(value, dtype=float)
-    return value * np.log2(value, out=np.zeros_like(value), where=value > 0.0)
-
-
-def _thermal_entropy_bits(nbar):
-    return _xlog2x(nbar + 1.0) - _xlog2x(nbar)
-
-
 def moment_coherence(mean, cov):
     """Coherence in bits from single-mode moments in vacuum units, over leading axes.
 
-    S(rho_th) - S(rho): the thermal reference has the state's mean photon
-    number, and the state entropy depends only on nu.
+    S_th(nbar) - S(rho): the thermal reference has the state's mean photon
+    number nbar, and the state's entropy is S_th(m), m = (nu - 1)/2.  With
+    delta = nbar - m = (|d|^2 + ((s11 - s22)^2 + 4 s12^2)/(tr sigma + 2 nu))/4,
+    free of the cancellation tr sigma - 2 nu, the difference is
+    [(m + 1) log1p(delta/(m + 1)) - m log1p(delta/m) + delta log1p(1/(m + delta))] / ln 2,
+    whose m = 0 and delta = 0 terms are exactly 0.
     """
+    s11, s12, s22 = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
     nu = np.maximum(_nu(cov), 1.0)
-    state_entropy = _xlog2x((nu + 1.0) / 2.0) - _xlog2x((nu - 1.0) / 2.0)
-    return np.maximum(_thermal_entropy_bits(_photons(mean, cov)) - state_entropy, 0.0)
+    m = 0.5 * (nu - 1.0)
+    spread = (s11 - s22) ** 2 + 4.0 * s12 * s12
+    delta = 0.25 * (np.sum(np.square(mean), axis=-1) + spread / (s11 + s22 + 2.0 * nu))
+    ratio = np.divide(delta, m, out=np.zeros_like(delta), where=m > 0.0)
+    inverse = np.divide(1.0, m + delta, out=np.zeros_like(delta), where=delta > 0.0)
+    nats = (m + 1.0) * np.log1p(delta / (m + 1.0)) - m * np.log1p(ratio) + delta * np.log1p(inverse)
+    return np.maximum(nats / math.log(2.0), 0.0)
 
 
 def coherence(state: GaussianState) -> float:

@@ -2,22 +2,17 @@
 
 Mode 1 couples to a Markovian thermal reservoir (rate Gamma, occupation
 mbar) while exchanging excitations with mode 2 through the rotational
-coupling gamma.  For Gaussian states the whole evolution closes on the
-first moments and the covariance matrix,
+coupling gamma.  The moments obey d' = A d, sigma' = A sigma + sigma A^T + D.
+In the vacuum-scaled quadratures x = q sqrt(m omega / hbar) and
+y = p / sqrt(m omega hbar) the bath damps mode 1 at Gamma/2 and diffuses it
+at Gamma (2 mbar + 1), and A = I (x) omega J + C (x) I splits into commuting
+parts, C = [[-Gamma/2, gamma], [-gamma, 0]].  So, at every time at once,
 
-    d' = A d,        sigma' = A sigma + sigma A^T + D,
+    E(t) = e^{Ct} (x) R(omega t),  sigma(t) = E (sigma(0) - sigma_inf) E^T + sigma_inf,  d(t) = E d(0),
 
-with A the Hamiltonian flow matrix plus -Gamma/2 on the mode-1 block and
-D = Gamma (2 mbar + 1) on that block.  A step Delta is exactly the map
-d -> Phi d, sigma -> Phi sigma Phi^T + Q with Phi = e^{A Delta}, so the
-coupled run has no discretization error; with gamma = 0 the damped mode
-thermalizes in closed form.
-
-The interesting diagnostics live on the reduced mode-1 state: its
-fidelity against the bath's asymptotic thermal state and its coherence.
-Intervals where that fidelity decreases flag information flowing back
-from the rest of the system, the standard witness of non-Markovian
-behavior; with a strictly Markovian setup (gamma = 0) none occur.
+with the thermal steady state sigma_inf = (2 mbar + 1) I for every gamma.
+Intervals where the mode-1 fidelity to that state decreases flag information
+flowing back from mode 2, the standard witness of non-Markovian behavior.
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ __all__ = [
     "evolve_coupled",
     "rising_intervals",
     "thermalize_closed_form",
+    "vacuum_scale",
 ]
 
 
@@ -104,13 +100,22 @@ def _out_of_range(quantity: str, *parameters: str) -> OverflowError:
     return exc
 
 
-def drift_and_diffusion(params: OscillatorParams, bath: ThermalBath) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and diffusion matrices in the ordering (q1, p1, q2, p2).
+def vacuum_scale(params: OscillatorParams) -> np.ndarray:
+    """Physical (q1, p1, q2, p2) of one vacuum unit, sqrt(hbar / (m omega)) and sqrt(hbar m omega)."""
+    root, unit = math.sqrt(params.mass) * math.sqrt(params.omega), math.sqrt(params.hbar)
+    q, p = unit / root, unit * root
+    if not (0.0 < min(q, p) and max(q, p) < math.inf):
+        raise _out_of_range("the vacuum scale sqrt(hbar m omega)", "mass", "omega", "hbar")
+    return np.array([q, p, q, p])
 
-    The Hamiltonian part follows q1' = 2 alpha^2 p1 + gamma q2,
-    p1' = -2 beta^2 q1 + gamma p2 and the mode-2 mirror images with the
-    opposite coupling sign; the bath damps and diffuses mode 1 only.
-    Coefficients beyond the float range raise OverflowError.
+
+def drift_and_diffusion(params: OscillatorParams, bath: ThermalBath) -> tuple[np.ndarray, np.ndarray]:
+    """Drift and diffusion matrices of the model in physical (q1, p1, q2, p2).
+
+    The Hamiltonian part follows q1' = 2 alpha^2 p1 + gamma q2, p1' = -2 beta^2 q1 + gamma p2
+    and the mode-2 mirror images with the opposite coupling sign.  The bath damps mode 1 at
+    Gamma/2 and diffuses it at Gamma (2 mbar + 1) times its vacuum variances.  Coefficients
+    beyond the float range raise OverflowError.
     """
     try:
         a2 = 2.0 * params.alpha**2
@@ -128,41 +133,37 @@ def drift_and_diffusion(params: OscillatorParams, bath: ThermalBath) -> tuple[np
         raise _out_of_range(
             "the diffusion coefficient Gamma (2 mbar + 1) hbar", "decay_rate", "mean_occupation", "hbar"
         )
-    diffusion = np.zeros((4, 4))
-    diffusion[0, 0] = diffusion[1, 1] = noise
+    m_omega = params.mass * params.omega  # finite whenever beta^2 is
+    diffusion = np.diag([noise / m_omega, noise * m_omega, 0.0, 0.0])
+    if not np.isfinite(diffusion).all():
+        quantity = "the diffusion coefficients Gamma (2 mbar + 1) hbar (m omega)^(-1, 1)"
+        raise _out_of_range(quantity, "decay_rate", "mean_occupation", "hbar", "mass", "omega")
     return drift, diffusion
 
 
-def _step_map(drift: np.ndarray, diffusion: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact map (Phi, Q) of the moment equations over one step.
+def _exchange_flow(rate: float, gamma: float, t: np.ndarray) -> np.ndarray:
+    """e^{Ct} = even(t) I + odd(t) B at the times t, (n, 2, 2), with B = C + Gamma/4.
 
-    Van Loan's F = exp([[-A, D], [0, A^T]] delta) gives Phi = F22^T and
-    Q = Phi F12 at delta = step / 2^m, with ||block||_1 delta <= 1/2; then m
-    doublings (Phi, Q) -> (Phi^2, Phi Q Phi^T + Q) reach the step.  These
-    only add positive semidefinite terms, where one exponential over the
-    whole step would cancel a growing exp(-A step).
+    B^2 = -kappa^2, kappa^2 = (|gamma| - Gamma/4)(|gamma| + Gamma/4) taken as a product of
+    square roots.  Above the exceptional point |gamma| = Gamma/4, even = e^{-Gamma t/4} cos(kappa t)
+    and odd = e^{-Gamma t/4} sin(kappa t)/kappa; at it, even = e^{-Gamma t/4} and odd = t even.
+    Below it, with k = |kappa|, cosh and sinh are written in e^{-at} and e^{-at} e^{-2kt},
+    a = Gamma/4 - k = gamma^2/(Gamma/4 + k), so no factor grows.
     """
-    n = drift.shape[0]
-    block = np.block([[-drift, diffusion], [np.zeros_like(drift), drift.T]])
-    reach = 2.0 * np.abs(block).sum(axis=0).max() * step
-    if not math.isfinite(reach):
-        raise _out_of_range("the generator norm times the time step")
-    doublings = max(0, math.ceil(math.log2(reach)))
-    scaled = block * (step / 2.0**doublings)
-    total, term, order = np.eye(2 * n), np.eye(2 * n), 0
-    while True:  # Taylor terms shrink at least as 2^-k / k!, so one stops changing the sum
-        order += 1
-        term = term @ scaled / order
-        if np.array_equal(total + term, total):
-            break
-        total += term
-    phi = total[n:, n:].T
-    noise = phi @ total[:n, n:]
-    noise = 0.5 * (noise + noise.T)
-    for _ in range(doublings):
-        noise = phi @ noise @ phi.T + noise
-        phi = phi @ phi
-    return phi, noise
+    quarter, g = rate / 4.0, abs(gamma)
+    if g > quarter:
+        kappa = math.sqrt(g - quarter) * math.sqrt(g + quarter)
+        decay = np.exp(-quarter * t)
+        even, odd = decay * np.cos(kappa * t), decay * np.sin(kappa * t) / kappa
+    elif g == quarter:
+        even, odd = np.exp(-quarter * t), t * np.exp(-quarter * t)
+    else:
+        k = math.sqrt(quarter - g) * math.sqrt(quarter + g)
+        slow = np.exp(-g * (g / (quarter + k)) * t)
+        gap = np.expm1(-2.0 * k * t)  # e^{-2kt} - 1
+        even, odd = slow * (1.0 + 0.5 * gap), slow * (-0.5 / k) * gap
+    flow = [even - quarter * odd, gamma * odd, -gamma * odd, even + quarter * odd]
+    return np.stack(flow, axis=-1).reshape(-1, 2, 2)
 
 
 def evolve_coupled(
@@ -170,45 +171,45 @@ def evolve_coupled(
 ) -> EvolutionRecord:
     """Propagate the coupled dissipative dynamics exactly over the requested grid.
 
-    Each distinct spacing gets one step map, acting on (vec sigma, d, 1)
-    as a 21 x 21 matrix.  Every state must pass GaussianState's checks.
-    The tracks are the reduced mode-1 fidelity to the reservoir's
-    asymptotic thermal state and the reduced mode-1 coherence.
+    The moments come from the closed form of the module docstring and are
+    returned in physical units; every state must pass GaussianState's checks.
+    The tracks, the reduced mode-1 fidelity to the reservoir's asymptotic
+    thermal state and the mode-1 coherence, are evaluated on the mode-1
+    moments in vacuum units in the frame turning with R(omega t).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] != 0.0:
-        raise ValueError("t_grid must be one-dimensional and start at 0")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
+    if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be one-dimensional, start at 0 and increase strictly")
     if initial.modes != 2:
         raise ValueError("initial state must have two modes")
     if abs(initial.hbar - params.hbar) > 1e-12:
         raise ValueError("initial state and oscillator parameters disagree on hbar")
+    asymptote = 2.0 * bath.mean_occupation + 1.0
+    if not math.isfinite(asymptote):
+        raise _out_of_range("the asymptotic variance 2 mbar + 1", "mean_occupation")
 
-    drift, diffusion = drift_and_diffusion(params, bath)
-    steps, which = np.unique(np.diff(t_grid), return_inverse=True)
-    maps = []
-    # moments that leave the floats are reported once, by validate_moments below
+    scale = vacuum_scale(params)
+    # moments that leave the floats, with a phase kappa t or omega t among them, are reported
+    # once, by validate_moments below
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in steps:
-            phi, noise = _step_map(drift, diffusion, float(step))
-            affine = np.zeros((21, 21))
-            affine[:16, :16] = np.kron(phi, phi)  # vec(Phi sigma Phi^T), row-major vec
-            affine[:16, 20] = noise.ravel()
-            affine[16:20, 16:20] = phi
-            affine[20, 20] = 1.0
-            maps.append(affine)
-        z = np.empty((t_grid.size, 21))
-        z[0] = np.concatenate((initial.cov.ravel(), initial.mean, [1.0]))
-        for i, k in enumerate(which.tolist(), start=1):
-            np.dot(maps[k], z[i - 1], out=z[i])
+        flow = _exchange_flow(bath.decay_rate, params.gamma, t_grid)
+        mean0 = initial.mean / scale
+        excess = initial.cov / np.outer(scale, scale) - asymptote * np.eye(4)  # sigma(0) - sigma_inf
+        cos, sin = np.cos(params.omega * t_grid), np.sin(params.omega * t_grid)
+        turn = np.stack([cos, sin, -sin, cos], axis=-1).reshape(-1, 2, 2) * scale[:2, None]  # diag(scale) R
+        gen = (flow[:, :, None, :, None] * turn[:, None, :, None, :]).reshape(-1, 4, 4)  # diag(scale) E
+        means = (gen.reshape(-1, 4) @ mean0).reshape(-1, 4)
+        covs = np.einsum("nij,jk,nlk->nil", gen, excess, gen, optimize=True) + np.diag(asymptote * scale**2)
+    covs = validate_moments(means, covs, initial.hbar, t_grid)
 
-    hbar, means = initial.hbar, z[:, 16:20]
-    covs = validate_moments(means, z[:, :16].reshape(-1, 4, 4), hbar, t_grid)
-    d1, s1 = means[:, :2] / math.sqrt(hbar), covs[:, :2, :2] / hbar
-    fid = moment_fidelity(d1, s1, np.zeros(2), (2.0 * bath.mean_occupation + 1.0) * np.eye(2))
+    # mode 1 in the turning frame: d1 = sum_k e_1k d_k, sigma_1 = sum_kl e_1k e_1l Delta_kl + sigma_inf
+    row = flow[:, 0]
+    mean1 = row @ mean0.reshape(2, 2)
+    blocks = excess.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)  # row kl holds Delta_kl
+    cov1 = ((row[:, :, None] * row[:, None, :]).reshape(-1, 4) @ blocks).reshape(-1, 2, 2) + asymptote * np.eye(2)
+    fid = moment_fidelity(mean1, cov1, np.zeros(2), asymptote * np.eye(2))
     return EvolutionRecord(
-        t_grid, means, covs, fid, moment_coherence(d1, s1), hbar, backflow_intervals(t_grid, fid)
+        t_grid, means, covs, fid, moment_coherence(mean1, cov1), initial.hbar, backflow_intervals(t_grid, fid)
     )
 
 

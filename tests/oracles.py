@@ -6,7 +6,8 @@ in mpmath, negativities from 30-digit radial integrals split at the
 roots of the monomial-form profile, purities and negativities from
 dense trapezoid grids, Gaussian moments from fourth-order Runge-Kutta
 steps of the moment equations, steady states from a Kronecker solve of
-the Lyapunov equation, and one-step moment maps from scipy's expm.
+the Lyapunov equation, one-step moment maps from scipy's expm, and
+30-digit moments and mode tracks from mpmath's expm of Van Loan's block.
 """
 
 from __future__ import annotations
@@ -228,3 +229,53 @@ def van_loan_map(drift, diffusion, step: float):
     ex = expm(block * step)
     phi = ex[n:, n:].T
     return phi, phi @ ex[:n, n:]
+
+
+def van_loan_moments_mp(drift, diffusion, mean, cov, times) -> list:
+    """Moments (d, sigma) at each time as 30-digit mpmath matrices.
+
+    One mpmath expm of Van Loan's block [[-A, D], [0, A^T]] t per time gives
+    Phi = F22^T and Q = Phi F12, so d = Phi d(0) and sigma = Phi sigma(0) Phi^T + Q.
+    Inputs are mpmath numbers or floats, each float taken as exact.
+    """
+    n = len(mean)
+    with mp.workdps(DIGITS):
+        block = mp.zeros(2 * n, 2 * n)
+        for i in range(n):
+            for j in range(n):
+                block[i, j] = -mp.mpf(drift[i][j])
+                block[i, n + j] = mp.mpf(diffusion[i][j])
+                block[n + i, n + j] = mp.mpf(drift[j][i])
+        d0 = mp.matrix([mp.mpf(v) for v in mean])
+        s0 = mp.matrix([[mp.mpf(v) for v in row] for row in cov])
+        out = []
+        for t in times:
+            ex = mp.expm(block * mp.mpf(float(t)))
+            phi = ex[n:, n:].T
+            out.append((phi * d0, phi * s0 * phi.T + phi * ex[:n, n:]))
+        return out
+
+
+def mode_tracks_mp(mean, cov, thermal_variance: float) -> tuple:
+    """Fidelity to the zero-mean state thermal_variance * I and coherence in bits, at 30 digits.
+
+    The moments are one mode's, in vacuum units (mpmath or float entries).
+    The fidelity is 2 / (sqrt(Delta + delta) - sqrt(delta)) exp(-d^T sigma_+^-1 d / 2),
+    the coherence S_th(nbar) - S_th((nu - 1)/2) with
+    S_th(n) = (n + 1) log2(n + 1) - n log2(n) and nbar = (tr sigma + |d|^2 - 2)/4.
+    """
+    with mp.workdps(DIGITS):
+        d = mp.matrix([mp.mpf(mean[0]), mp.mpf(mean[1])])
+        s = mp.matrix([[mp.mpf(cov[i][j]) for j in range(2)] for i in range(2)])
+        v = mp.mpf(thermal_variance)
+        splus = s + v * mp.eye(2)
+        big = mp.det(splus)
+        small = (mp.det(s) - 1) * (v * v - 1)
+        quad = (d.T * mp.inverse(splus) * d)[0]
+        fid = 2 / (mp.sqrt(big + small) - mp.sqrt(small)) * mp.exp(-quad / 2)
+
+        def entropy(x):
+            return (x + 1) * mp.log(x + 1, 2) - (x * mp.log(x, 2) if x > 0 else 0)
+
+        nbar = (s[0, 0] + s[1, 1] + d[0] ** 2 + d[1] ** 2 - 2) / 4
+        return fid, entropy(nbar) - entropy((mp.sqrt(mp.det(s)) - 1) / 2)

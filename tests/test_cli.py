@@ -359,15 +359,12 @@ class TestFig3Command:
         assert "configuration error" in capsys.readouterr().err
 
     # the first sample whose moments leave the floats, by its value in the t column (Gamma*t)
-    FAILING_T = {"physics.omega=1e150": "0.05", "physics.gamma=1e300": "0.2", "physics.mass=1e-300": "0.05"}
+    FAILING_T = {"physics.gamma=1.7e308": "0.15"}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value,at_time", [
-        ("physics.omega=1e200", False),  # overflows while the drift is assembled
-        ("physics.mbar=1e308", False),  # infinite diffusion: no step count fits
-        ("physics.omega=1e150", True),  # the moments leave the floats mid-run
-        ("physics.gamma=1e300", True),
-        ("physics.mass=1e-300", True),
+        ("physics.mbar=1e308", False),  # infinite asymptotic variance 2 mbar + 1
+        ("physics.gamma=1.7e308", True),  # the exchange phase kappa t passes the float range
     ])
     def test_numeric_failure_exit_code(self, value, at_time, tmp_path, capsys):
         out = tmp_path / "f.csv"
@@ -381,6 +378,74 @@ class TestFig3Command:
         else:  # the quantity out of range names the key that set it
             assert f"{value.partition('=')[0]} = " in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_moments_leaving_the_floats_name_the_first_time(self, tmp_path, capsys):
+        # the variances (2 mbar + 1) hbar m omega stay finite, but omega t passes the float
+        # range at t = 9.46 / Gamma: the failure names Gamma t = 0.95, the first sample it spoils
+        out = tmp_path / "f.csv"
+        sets = ["--set", "physics.omega=1.9e307", "--set", "physics.initial_covariance=thermal"]
+        assert main(["fig3", "--out", str(out), *sets, *FAST_FIG3]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: propagation at gamma = 0.1 failed: moments must be finite at t = 0.95\n"
+        assert not out.exists()
+
+    # Inputs that overflowed the step maps.  The closed form is exact for them; where the
+    # physical displacement is beyond the adjusted covariance in vacuum units, they run thermal.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sets", [
+        ["physics.gamma=1e300"],
+        ["physics.omega=1e200", "physics.initial_covariance=thermal"],
+        ["physics.omega=1e150", "physics.initial_covariance=thermal"],
+        ["physics.mass=1e-300", "physics.initial_covariance=thermal"],
+    ], ids=["gamma=1e300", "omega=1e200", "omega=1e150", "mass=1e-300"])
+    def test_former_overflows_run(self, sets, tmp_path):
+        out = tmp_path / "f.csv"
+        assert main(["fig3", "--out", str(out), *[f for key in sets for f in ("--set", key)], *FAST_FIG3]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1, comments="#")
+        assert table.shape == (21, 4) and np.isfinite(table).all()
+        assert np.all((table[:, 1] >= 0.0) & (table[:, 1] <= 1.0))
+
+    @pytest.mark.parametrize("value", ["physics.omega=1e200", "physics.omega=1e150", "physics.mass=1e-300"])
+    def test_displacement_beyond_adjusted_covariance_exits_2(self, value, tmp_path, capsys):
+        # (1, 1) in q and p is about (m omega)^(+-1/2) vacuum units, more than nbar = 2 quanta hold
+        out = tmp_path / "f.csv"
+        assert main(["fig3", "--out", str(out), "--set", value, *FAST_FIG3]) == 2
+        assert "physics.nbar too small" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_long_uncoupled_run_stays_finite(self, tmp_path):
+        # e^{-Gamma t/4} cosh(Gamma t/4) as decaying exponentials: no inf * 0 at large Gamma t
+        out = tmp_path / "f.csv"
+        sets = ["physics.gamma=0", "numeric.t_max=5000", "numeric.t_step=1"]
+        assert main(["fig3", "--out", str(out), *[f for key in sets for f in ("--set", key)]]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1, comments="#")
+        assert table.shape == (5001, 4) and np.isfinite(table).all()
+
+    def test_backflow_tol_sets_both_interval_lists(self, tmp_path):
+        out = tmp_path / "f.json"
+        assert main(["fig3", "--out", str(out), "--format", "json", "--set", "numeric.backflow_tol=1"]) == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["backflow_intervals"] == [] and summary["coherence_rise_intervals"] == []
+        out = tmp_path / "f.csv"
+        assert main(["fig3", "--out", str(out), "--set", "numeric.backflow_tol=1"]) == 0
+        assert out.read_text().splitlines()[-1] == "# backflow_intervals,0"
+
+    @pytest.mark.parametrize("key", ["physics.mass=4", "physics.omega=3"])
+    def test_bath_thermalizes_for_any_m_omega(self, key):
+        cfg = resolve_config("fig3", None, [key, "numeric.t_max=200", "numeric.t_step=0.5"])
+        assert abs(run_fig3(cfg, 0.1)["columns"]["fidelity"][-1] - 1.0) < 1e-12
+
+    def test_columns_depend_on_m_omega_only(self):
+        # the initial state and the tracks are set in vacuum units, where only m omega enters
+        def columns(*sets):
+            cfg = resolve_config("fig3", None, ["numeric.t_max=20", "numeric.t_step=0.1", *sets])
+            return np.array(list(run_fig3(cfg, 0.1)["columns"].values()))
+
+        assert np.max(np.abs(columns("physics.mass=3", "physics.omega=0.3333333333333333") - columns())) < 1e-13
+        assert np.max(np.abs(columns("physics.mass=0.2", "physics.omega=5") - columns())) < 1e-13
+        assert np.max(np.abs(columns("physics.mass=4") - columns("physics.omega=4"))) < 1e-13
 
 
 def _stdlib_json(experiment: str, result: dict, cfg: dict) -> str:

@@ -1,0 +1,57 @@
+"""fig3 tracks against a 30-digit evaluation of the moment equations.
+
+The reference integrates the model at the CLI defaults (m = omega = hbar = 1,
+Gamma = gamma = 0.1, mbar = 4, nbar = 2) by one mpmath expm of Van Loan's
+block per sample time, and evaluates the mode-1 fidelity and coherence at
+30 digits.  The library's columns must agree to 5e-15, a few dozen units of
+rounding.
+"""
+
+import math
+
+import mpmath as mp
+import pytest
+
+import oracles
+from wignerosc.cli import resolve_config, run_fig3
+
+RATE, GAMMA, MBAR, NBAR = 0.1, 0.1, 4.0, 2.0
+# Hamilton's equations of (p1^2 + p2^2 + q1^2 + q2^2)/2 + gamma (p1 q2 - p2 q1), mode 1 damped
+DRIFT = [
+    [-RATE / 2, 1.0, GAMMA, 0.0],
+    [-1.0, -RATE / 2, 0.0, GAMMA],
+    [-GAMMA, 0.0, 0.0, 1.0],
+    [0.0, -GAMMA, -1.0, 0.0],
+]
+DIFFUSION = [[RATE * (2 * MBAR + 1) if i == j < 2 else 0.0 for j in range(4)] for i in range(4)]
+TOLERANCE = 5e-15
+
+
+def _rotated(phi: float) -> list[float]:
+    c, s = math.cos(phi), math.sin(phi)
+    return [c + s, c - s, c + s, c - s]  # R(phi) (1, 1) in each mode plane
+
+
+@pytest.mark.parametrize("displacement", [[1.0, 1.0, 1.0, 1.0], _rotated(2.2)], ids=["default", "rotated"])
+def test_tracks_against_30_digit_van_loan(displacement):
+    sets = ["numeric.t_max=60", "numeric.t_step=2.5", "physics.displacement=" + ",".join(map(repr, displacement))]
+    columns = run_fig3(resolve_config("fig3", None, sets), GAMMA)["columns"]
+    times = columns["t"] / RATE  # the times the CLI evaluates
+    assert times.size == 25
+    d = [mp.mpf(v) for v in displacement]
+    cov = mp.zeros(4, 4)
+    for i in range(4):  # isotropic blocks that carry nbar quanta each
+        mode = d[i - i % 2 : i - i % 2 + 2]
+        cov[i, i] = (4 * NBAR + 2 - mode[0] ** 2 - mode[1] ** 2) / 2
+    tracks = [
+        oracles.mode_tracks_mp(mean[:2], moments[:2, :2].tolist(), 2 * MBAR + 1)
+        for mean, moments in oracles.van_loan_moments_mp(DRIFT, DIFFUSION, d, cov.tolist(), times)
+    ]
+    worst = {
+        "fidelity": max(abs(got - want) for got, (want, _) in zip(columns["fidelity"], tracks)),
+        "coherence_raw": max(abs(got - want) for got, (_, want) in zip(columns["coherence_raw"], tracks)),
+        "coherence_normalized": max(
+            abs(got - want / tracks[0][1]) for got, (_, want) in zip(columns["coherence_normalized"], tracks)
+        ),
+    }
+    assert max(worst.values()) < TOLERANCE, worst

@@ -11,6 +11,7 @@ from wignerosc.gaussian_states import (
     fidelity,
     gaussian_wigner,
     mean_photon,
+    moment_coherence,
     reduce_mode,
     state_from_record,
     state_to_record,
@@ -177,13 +178,21 @@ class TestCoherence:
         assert coherence(state) == pytest.approx(0.327511016026796, abs=1e-12)
 
     def test_spectral_entropy_consistency(self):
-        # the symplectic-invariant entropy equals the thermal entropy at
-        # the matching occupation (nu - 1)/2
-        from wignerosc.gaussian_states import _thermal_entropy_bits, _xlog2x
+        # the cancellation-free kernel equals S_th(nbar) - S_th(m): the state's entropy is
+        # the thermal entropy at its matching occupation m = (nu - 1)/2
+        def entropy(n):
+            return (n + 1) * math.log2(n + 1) - (n * math.log2(n) if n > 0 else 0.0)
 
+        rng = np.random.default_rng(8)
         for nu in (1.0, 1.7, 4.0, 9.2):
-            direct = _xlog2x((nu + 1) / 2) - _xlog2x((nu - 1) / 2)
-            assert direct == pytest.approx(_thermal_entropy_bits((nu - 1) / 2), abs=1e-13)
+            for _ in range(5):
+                squeeze, phi = rng.uniform(0.5, 2.0), rng.uniform(0, math.pi)
+                rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+                cov = nu * rot @ np.diag([squeeze, 1 / squeeze]) @ rot.T
+                mean = rng.normal(size=2)
+                nbar = (np.trace(cov) + mean @ mean - 2) / 4
+                direct = entropy(nbar) - entropy((nu - 1) / 2)
+                assert moment_coherence(mean, cov) == pytest.approx(direct, abs=1e-13)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(6)

@@ -17,7 +17,6 @@ from wignerosc.gaussian_states import (
 )
 from wignerosc.open_dynamics import (
     EvolutionRecord,
-    _step_map,
     backflow_intervals,
     drift_and_diffusion,
     evolve_coupled,
@@ -28,6 +27,16 @@ from wignerosc.open_dynamics import (
 PARAMS = OscillatorParams(gamma=0.1)
 PARAMS_FREE = OscillatorParams(gamma=0.0)
 BATH = ThermalBath(0.1, 4.0)
+
+
+def van_loan_doubled(drift, diffusion, t: float, doublings: int):
+    """(Phi, Q) over t from one scipy step map over t / 2^doublings, composed by doubling."""
+    phi, noise = oracles.van_loan_map(drift, diffusion, t / 2.0**doublings)
+    noise = 0.5 * (noise + noise.T)
+    for _ in range(doublings):
+        noise = phi @ noise @ phi.T + noise
+        phi = phi @ phi
+    return phi, noise
 
 
 def figure_initial(displacement=(1.0, 1.0, 1.0, 1.0), block=4.0):
@@ -115,12 +124,24 @@ class TestDriftDiffusion:
             drift_and_diffusion(params, bath)
         assert info.value.parameters == parameters
 
-    @pytest.mark.filterwarnings("error")
-    def test_step_map_out_of_range_is_named(self):
-        # every coefficient is a float, but a column sum of the generator is not
-        params = OscillatorParams(omega=1e154, gamma=1.7e308)
-        with pytest.raises(OverflowError, match="generator norm"):
-            evolve_coupled(figure_initial(), params, BATH, np.linspace(0.0, 1.0, 3))
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("params,bath,quantity,parameters", [
+        (PARAMS, ThermalBath(0.1, 1e308), "2 mbar + 1", ("mean_occupation",)),
+        (OscillatorParams(mass=1e308, omega=1e308, hbar=1e150), BATH, "vacuum scale", ("mass", "omega", "hbar")),
+    ], ids=["asymptote", "vacuum_scale"])
+    def test_closed_form_out_of_range_is_named(self, params, bath, quantity, parameters):
+        initial = GaussianState(np.ones(4), 4.0 * params.hbar * np.eye(4), params.hbar)
+        with pytest.raises(OverflowError, match=re.escape(quantity)) as info:
+            evolve_coupled(initial, params, bath, np.linspace(0.0, 1.0, 3))
+        assert info.value.parameters == parameters
+
+    def test_moments_past_the_floats_name_the_first_time(self):
+        # finite coefficients, but not the initial q variance in vacuum units, 4 m omega / hbar
+        params = OscillatorParams(mass=1e160, omega=1e160)
+        with pytest.raises(ValueError, match="moments must be finite at t = 0$") as info:
+            evolve_coupled(figure_initial(), params, ThermalBath(0.1, 1.0), np.linspace(0.0, 1.0, 3))
+        assert info.value.index == 0
 
 
 class TestEvolveCoupled:
@@ -258,14 +279,14 @@ class TestExactPropagator:
         self._against_rk4(np.concatenate(([0.0], inner, [self.WINDOW])))
 
     def test_matches_plain_composition_of_the_maps(self):
-        # the 21-vector form rounds differently from d <- Phi d, sigma <- Phi sigma Phi^T + Q;
-        # over the CLI's 12,001-point grid the two must stay within 1e-12
+        # scipy step maps composed as d <- Phi d, sigma <- Phi sigma Phi^T + Q over the CLI's
+        # 12,001-point grid gather rounding step by step; the closed form must stay within 1e-12
         times = 0.005 * np.arange(12001) / BATH.decay_rate
         initial = figure_initial()
         record = evolve_coupled(initial, PARAMS, BATH, times)
         drift, diffusion = drift_and_diffusion(PARAMS, BATH)
         steps = np.diff(times)
-        maps = {step: _step_map(drift, diffusion, step) for step in set(steps.tolist())}
+        maps = {step: oracles.van_loan_map(drift, diffusion, step) for step in set(steps.tolist())}
         d, sigma = initial.mean, initial.cov
         worst = 0.0
         for i, step in enumerate(steps.tolist(), start=1):
@@ -282,36 +303,28 @@ class TestExactPropagator:
         record = evolve_coupled(figure_initial(), PARAMS, BATH, times)
         assert np.max(np.abs(record.covs[-1] - steady)) < 1e-11
 
-    def test_step_map_matches_van_loan(self):
-        drift, diffusion = drift_and_diffusion(PARAMS, BATH)
-        phi, noise = _step_map(drift, diffusion, 0.05)
-        ref_phi, ref_noise = oracles.van_loan_map(drift, diffusion, 0.05)
-        assert np.max(np.abs(phi - ref_phi)) < 1e-15
-        assert np.max(np.abs(noise - ref_noise)) < 1e-16
-
     def test_long_step_matches_substep_doubling(self):
         # 1024 scipy substeps composed by doubling; one scipy exponential over
-        # the whole step is off by about 5e-12 here
+        # the whole span is off by about 5e-12 here
         drift, diffusion = drift_and_diffusion(PARAMS, BATH)
-        phi, noise = _step_map(drift, diffusion, 500.0)
-        ref_phi, ref_noise = oracles.van_loan_map(drift, diffusion, 500.0 / 1024)
-        ref_noise = 0.5 * (ref_noise + ref_noise.T)
-        for _ in range(10):
-            ref_noise = ref_phi @ ref_noise @ ref_phi.T + ref_noise
-            ref_phi = ref_phi @ ref_phi
-        assert np.max(np.abs(phi - ref_phi)) < 1e-15
-        assert np.max(np.abs(noise - ref_noise)) < 2e-12
+        initial = figure_initial()
+        record = evolve_coupled(initial, PARAMS, BATH, [0.0, 500.0])
+        phi, noise = van_loan_doubled(drift, diffusion, 500.0, 10)
+        assert np.max(np.abs(record.means[1] - phi @ initial.mean)) < 1e-14
+        assert np.max(np.abs(record.covs[1] - (phi @ initial.cov @ phi.T + noise))) < 2e-12
 
     def test_no_bath_is_the_hamiltonian_flow(self):
-        # Gamma = 0: Q vanishes and Phi moves phase points like the closed-form trajectories
-        drift, diffusion = drift_and_diffusion(PARAMS, ThermalBath(0.0, 4.0))
-        for step in (0.05, 37.0):
-            phi, noise = _step_map(drift, diffusion, step)
-            assert np.array_equal(noise, np.zeros((4, 4)))
+        # Gamma = 0: the moments are carried by the flow Phi of the closed-form trajectories,
+        # sigma -> Phi sigma Phi^T with no added noise
+        initial = figure_initial(displacement=(0.7, -0.2, 0.4, 1.1))
+        times = np.array([0.0, 0.05, 37.0])
+        record = evolve_coupled(initial, PARAMS, ThermalBath(0.0, 4.0), times)
+        for t, mean, cov in zip(times, record.means, record.covs):
             flow = np.column_stack(
-                [classical_trajectory(PhasePoint(*unit), step, PARAMS).as_array() for unit in np.eye(4)]
+                [classical_trajectory(PhasePoint(*unit), t, PARAMS).as_array() for unit in np.eye(4)]
             )
-            assert np.max(np.abs(phi - flow)) < 1e-12
+            assert np.max(np.abs(mean - flow @ initial.mean)) < 1e-12
+            assert np.max(np.abs(cov - flow @ initial.cov @ flow.T)) < 1e-12
 
     def test_unphysical_point_is_named(self):
         means = np.zeros((3, 4))
@@ -323,6 +336,63 @@ class TestExactPropagator:
         covs[1, 0, 2] = covs[1, 2, 0] = 2.0  # blocks fine, joint matrix indefinite
         with pytest.raises(ValueError, match="positive definite at t = 3"):
             validate_moments(means, covs, 1.0, np.array([0.0, 3.0, 7.0]))
+
+
+# (mass, omega) by coupling: gamma = 0, below, at and above the exceptional point Gamma/4 = 0.025
+SCALED_MODELS = [
+    (mass, omega, gamma) for mass, omega in ((1.0, 1.0), (4.0, 1.0), (1.0, 3.0)) for gamma in (0.0, 0.02, 0.025, 0.1)
+]
+
+
+@pytest.mark.parametrize("mass,omega,gamma", SCALED_MODELS)
+class TestScaledModel:
+    """The closed form against the oracles, run on the moment equations in vacuum-scaled
+    quadratures x = q sqrt(m omega), y = p / sqrt(m omega) (hbar = 1)."""
+
+    @staticmethod
+    def _model(mass, omega, gamma):
+        params = OscillatorParams(mass=mass, omega=omega, gamma=gamma)
+        drift, diffusion = drift_and_diffusion(params, BATH)
+        scale = np.array([1.0 / math.sqrt(mass * omega), math.sqrt(mass * omega)] * 2)
+        return params, drift * scale[None, :] / scale[:, None], diffusion / np.outer(scale, scale), scale
+
+    def _scaled_record(self, mass, omega, gamma, times):
+        params, drift, diffusion, scale = self._model(mass, omega, gamma)
+        initial = figure_initial(displacement=(0.3, -0.4, 0.5, 0.2))
+        record = evolve_coupled(initial, params, BATH, times)
+        mean, cov = initial.mean / scale, initial.cov / np.outer(scale, scale)
+        return drift, diffusion, mean, cov, record.means / scale, record.covs / np.outer(scale, scale)
+
+    def test_matches_van_loan_map(self, mass, omega, gamma):
+        # bounds by time (mean, covariance): the oracle's doublings gather rounding
+        bounds = {0.05: (1e-15, 1e-14), 3.0: (1e-14, 2e-13), 37.0: (1e-13, 1e-12)}
+        times = np.array([0.0, *bounds])
+        drift, diffusion, mean, cov, means, covs = self._scaled_record(mass, omega, gamma, times)
+        for t, got_mean, got_cov in zip(times[1:], means[1:], covs[1:]):
+            phi, noise = van_loan_doubled(drift, diffusion, t, max(0, math.ceil(math.log2(t / 0.05))))
+            assert np.max(np.abs(got_mean - phi @ mean)) < bounds[t][0]
+            assert np.max(np.abs(got_cov - (phi @ cov @ phi.T + noise))) < bounds[t][1]
+
+    def test_matches_rk4(self, mass, omega, gamma):
+        times = np.linspace(0.0, 0.5 / BATH.decay_rate, 11)  # Gamma t in [0, 0.5]
+        drift, diffusion, mean, cov, means, covs = self._scaled_record(mass, omega, gamma, times)
+        rk_means, rk_covs = oracles.rk4_moments(drift, diffusion, mean, cov, times, 0.001 / omega)
+        assert np.max(np.abs(means - rk_means)) < 1e-10
+        assert np.max(np.abs(covs - rk_covs)) < 1e-10
+
+    def test_thermal_steady_state(self, mass, omega, gamma):
+        # (2 mbar + 1) I solves the Lyapunov equation; without coupling mode 2 keeps its state,
+        # so the solution is not unique and only mode 1 and the cross blocks reach it
+        thermal = (2 * BATH.mean_occupation + 1) * np.eye(4)
+        times = np.array([0.0, 200.0 / BATH.decay_rate])
+        drift, diffusion, _, cov, _, covs = self._scaled_record(mass, omega, gamma, times)
+        assert np.max(np.abs(drift @ thermal + thermal @ drift.T + diffusion)) < 1e-14
+        if gamma == 0.0:
+            assert np.max(np.abs(covs[-1, :2] - thermal[:2])) < 1e-12
+            assert abs(np.linalg.det(covs[-1, 2:, 2:]) - np.linalg.det(cov[2:, 2:])) < 1e-12
+        else:
+            assert np.max(np.abs(oracles.lyapunov_steady_state(drift, diffusion) - thermal)) < 1e-12
+            assert np.max(np.abs(covs[-1] - thermal)) < 1e-12
 
 
 class TestIntervalDetection:
