@@ -30,6 +30,7 @@ from .fock_dynamics import (
     pair_field,
     radial_profile,
     stationary_wigner,
+    vacuum_scale,
 )
 from .gaussian_states import (
     GaussianState,
@@ -59,7 +60,6 @@ from .open_dynamics import (
     evolve_coupled,
     rising_intervals,
     thermalize_closed_form,
-    vacuum_scale,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

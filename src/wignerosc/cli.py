@@ -38,7 +38,7 @@ from .gaussian_states import (
     thermal_state,
 )
 from .info_measures import MAX_QUANTA, NegativityError, mutual_information, negativity
-from .open_dynamics import backflow_intervals, evolve_coupled, rising_intervals, vacuum_scale
+from .open_dynamics import backflow_intervals, evolve_coupled, rising_intervals
 
 __all__ = [
     "KEYS", "ConfigError", "NumericFailure", "main", "resolve_config", "run_fig1", "run_fig3", "run_query",
@@ -97,7 +97,8 @@ def _reals(count: int | None = None):
 
 
 # Every key of every command, with its parser and default; any other key is unknown.
-# fig1 and query negativity depend on the pair and the mixing angle only.
+# fig1 and query negativity depend on the pair and the mixing angle only; fig3 and
+# query fidelity and coherence read their means in vacuum units, so no unit enters them.
 KEYS = {
     "fig1": {
         "physics.k": (_COUNT, "1"),
@@ -107,9 +108,6 @@ KEYS = {
         "numeric.theta_step": (_POSITIVE, repr(math.pi / 200)),
     },
     "fig3": {
-        "physics.hbar": (_POSITIVE, "1"),
-        "physics.mass": (_POSITIVE, "1"),
-        "physics.omega": (_POSITIVE, "1"),
         "physics.gamma": (_reals(), "0.1"),
         "physics.decay_rate": (_POSITIVE, "0.1"),
         "physics.nbar": (_NONNEGATIVE, "2"),
@@ -134,12 +132,10 @@ KEYS = {
         "nbar2": (_NONNEGATIVE, "0"),
         "d1": (_reals(2), "0,0"),
         "d2": (_reals(2), "0,0"),
-        "hbar": (_POSITIVE, "1"),
     },
     "coherence": {
         "nbar": (_NONNEGATIVE, "0"),
         "d": (_reals(2), "0,0"),
-        "hbar": (_POSITIVE, "1"),
     },
     "negativity": {
         "k": (_COUNT, "1"),
@@ -252,12 +248,11 @@ def _vector(text: str) -> np.ndarray:
     return np.array([float(part) for part in text.split(",")])
 
 
-def _fig3_initial_state(cfg: dict[str, str], params: OscillatorParams) -> GaussianState:
-    """Physical displacement, each mode's covariance isotropic in vacuum units."""
+def _fig3_initial_state(cfg: dict[str, str]) -> GaussianState:
+    """Displacement and each mode's isotropic covariance, in vacuum units."""
     nbar = float(cfg["physics.nbar"])
     d = _vector(cfg["physics.displacement"])
-    scale = vacuum_scale(params)
-    quanta = [(v / s) * (v / s) for v, s in zip(d.tolist(), scale.tolist())]  # floats: past the range is inf
+    quanta = [v * v for v in d.tolist()]  # floats: past the range is inf
     adjusted = cfg["physics.initial_covariance"] == "adjusted"
     cov = np.zeros((4, 4))
     for mode in (0, 1):
@@ -268,29 +263,25 @@ def _fig3_initial_state(cfg: dict[str, str], params: OscillatorParams) -> Gaussi
             raise ConfigError(
                 "physics.nbar too small for the requested displacement; use physics.initial_covariance=thermal"
             )
-        cov[sl, sl] = a * np.diag(scale[sl] ** 2)
-    return GaussianState(d, cov, params.hbar)
+        cov[sl, sl] = a * np.eye(2)
+    return GaussianState(d, cov)
 
 
-# OscillatorParams and ThermalBath fields by the fig3 keys that set them
-_FIG3_KEYS = {
-    "mass": "physics.mass",
-    "omega": "physics.omega",
-    "hbar": "physics.hbar",
-    "mean_occupation": "physics.mbar",
-}
+# ThermalBath fields by the fig3 keys that set them
+_FIG3_KEYS = {"mean_occupation": "physics.mbar"}
 
 
 def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
     """Propagate one coupled dissipative run and tabulate the witnesses."""
-    rate = float(cfg["physics.decay_rate"])
+    rate, t_max = float(cfg["physics.decay_rate"]), float(cfg["numeric.t_max"])
+    if not math.isfinite(t_max / rate):
+        keys = ", ".join(f"{key} = {cfg[key]}" for key in ("numeric.t_max", "physics.decay_rate"))
+        raise NumericFailure(f"the time span t_max / Gamma leaves the floats ({keys})")
     bath = ThermalBath(rate, float(cfg["physics.mbar"]))
-    scaled = _axis(0.0, float(cfg["numeric.t_max"]), float(cfg["numeric.t_step"]))  # dimensionless Gamma*t
-    mass, omega, hbar = (float(cfg[key]) for key in ("physics.mass", "physics.omega", "physics.hbar"))
-    params = OscillatorParams(mass=mass, omega=omega, hbar=hbar, gamma=gamma)
+    scaled = _axis(0.0, t_max, float(cfg["numeric.t_step"]))  # dimensionless Gamma*t
     try:
-        initial = _fig3_initial_state(cfg, params)
-        record = evolve_coupled(initial, params, bath, scaled / rate)
+        initial = _fig3_initial_state(cfg)
+        record = evolve_coupled(initial, OscillatorParams(gamma=gamma), bath, scaled / rate)
     except (ArithmeticError, ValueError) as exc:  # the propagation or its trajectory checks
         reason = str(exc)
         if hasattr(exc, "index"):  # name the failing sample by its Gamma*t, as in the t column
@@ -376,11 +367,9 @@ def _query_value(quantity: str, cfg: dict[str, str]) -> float:
         k, ell = int(cfg["k"]), int(cfg["l"])
         probs = mode_populations(_pair(k, ell), float(cfg["theta"]), int(cfg["mode"]))
         return _negativity(probs, k + ell)
-    # thermal states displaced to d, or d1 and d2 for the fidelity
-    hbar = float(cfg["hbar"])
+    # thermal states displaced to d, or d1 and d2 for the fidelity, in vacuum units
     tags = ("1", "2") if quantity == "fidelity" else ("",)
-    states = [GaussianState(_vector(cfg["d" + tag]), thermal_state(float(cfg["nbar" + tag]), hbar).cov, hbar)
-              for tag in tags]
+    states = [GaussianState(_vector(cfg["d" + tag]), thermal_state(float(cfg["nbar" + tag])).cov) for tag in tags]
     return fidelity(*states) if quantity == "fidelity" else coherence(*states)
 
 

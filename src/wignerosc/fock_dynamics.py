@@ -54,6 +54,7 @@ __all__ = [
     "pair_field",
     "radial_profile",
     "stationary_wigner",
+    "vacuum_scale",
 ]
 
 
@@ -81,6 +82,24 @@ class OscillatorParams:
     @property
     def beta(self) -> float:
         return math.sqrt(self.mass) * self.omega / math.sqrt(2.0)
+
+
+def _out_of_range(quantity: str, *parameters: str) -> OverflowError:
+    """OverflowError naming the quantity and, as ``parameters``, the fields that set it."""
+    exc = OverflowError(f"{quantity} leaves the floats")
+    exc.parameters = parameters
+    return exc
+
+
+def vacuum_scale(params: OscillatorParams) -> np.ndarray:
+    """Physical (q1, p1, q2, p2) of one vacuum unit, sqrt(hbar / (m omega)) and sqrt(hbar m omega).
+
+    The one definition of the unit: envelope rates, flow and fig3 quadratures derive from it."""
+    root, unit = math.sqrt(params.mass) * math.sqrt(params.omega), math.sqrt(params.hbar)
+    q, p = unit / root, unit * root
+    if not (0.0 < min(q, p) and max(q, p) < math.inf):
+        raise _out_of_range("the vacuum scale sqrt(hbar m omega)", "mass", "omega", "hbar")
+    return np.array([q, p, q, p])
 
 
 @dataclass(frozen=True)
@@ -160,14 +179,11 @@ def _coords(point):
 
 
 def envelope_rates(params: OscillatorParams) -> tuple[float, float]:
-    """Per-mode Gaussian rates (a_q, a_p): W ~ exp(-a_q q^2 - a_p p^2).
-
-    The rates satisfy a_q * a_p = 1/hbar^2, so the per-mode change of
+    """Per-mode Gaussian rates (a_q, a_p) = (m omega / hbar, 1 / (m omega hbar)), one over the squared
+    vacuum units: W ~ exp(-a_q q^2 - a_p p^2).  As a_q * a_p = 1/hbar^2, the per-mode change of
     variables to unit-rate coordinates carries the Jacobian hbar.
     """
-    a_q = params.alpha / (params.beta * params.hbar)
-    a_p = params.beta / (params.alpha * params.hbar)
-    return a_q, a_p
+    return tuple((1.0 / vacuum_scale(params)[:2] ** 2).tolist())
 
 
 def energy(n1: int, n2: int, params: OscillatorParams) -> float:
@@ -237,7 +253,8 @@ def classical_trajectory(initial: PhasePoint, t: float, params: OscillatorParams
     y0, py0 = initial.q2, initial.p2
     cw, sw = math.cos(params.omega * t), math.sin(params.omega * t)
     cg, sg = math.cos(params.gamma * t), math.sin(params.gamma * t)
-    k = params.beta / params.alpha
+    q_unit, p_unit = vacuum_scale(params)[:2].tolist()
+    k = q_unit / p_unit  # 1 / (m omega)
     q1 = x0 * cw * cg + y0 * cw * sg + k * (py0 * sw * sg + px0 * sw * cg)
     q2 = y0 * cw * cg - x0 * cw * sg - k * (px0 * sw * sg - py0 * sw * cg)
     p1 = px0 * cw * cg + py0 * cw * sg - (y0 * sw * sg + x0 * sw * cg) / k

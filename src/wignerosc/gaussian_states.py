@@ -93,6 +93,13 @@ def _nu(blocks):
     return np.sqrt(np.maximum(_det2(blocks), 0.0))
 
 
+def _point_error(message: str, index, times=None, error: type = ValueError) -> Exception:
+    """error(message) naming the point by its time when times is given, with ``index`` its position."""
+    exc = error(message + ("" if times is None else f" at t = {times[index]:.6g}"))
+    exc.index = int(index)
+    return exc
+
+
 def validate_moments(means, covs, hbar: float, times=None) -> np.ndarray:
     """GaussianState's checks over stacks (n, 2N) and (n, 2N, 2N); returns covs symmetrized.
 
@@ -101,31 +108,29 @@ def validate_moments(means, covs, hbar: float, times=None) -> np.ndarray:
     the first failing point, by its time when times is given, and carry
     its position in the stack as ``index``."""
 
-    def fail(i, message, error=ValueError):
-        exc = error(message + ("" if times is None else f" at t = {times[i]:.6g}"))
-        exc.index = int(i)
-        raise exc
-
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
         bad = ~(np.isfinite(means).all(axis=-1) & np.isfinite(covs).all(axis=(-2, -1)))
-        fail(np.argmax(bad), "moments must be finite")
+        raise _point_error("moments must be finite", np.argmax(bad), times)
     transposed = np.swapaxes(covs, -1, -2)
     gap = np.abs(covs - transposed)
     if gap.max() > 1e-12:  # below that no point fails, each scale being at least 1
         bad = gap.max(axis=(-2, -1)) > 1e-12 * np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
         if bad.any():
-            fail(np.argmax(bad), "covariance must be symmetric")
+            raise _point_error("covariance must be symmetric", np.argmax(bad), times)
     covs = 0.5 * covs + 0.5 * transposed  # halves first: no overflow near the top of the floats
     try:
         np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:  # named: the first point with an eigenvalue <= 0
-        fail(np.argmax(np.linalg.eigvalsh(covs)[..., 0] <= 0), "covariance must be positive definite")
+        first = np.argmax(np.linalg.eigvalsh(covs)[..., 0] <= 0)
+        raise _point_error("covariance must be positive definite", first, times)
     blocks = np.stack([covs[..., i : i + 2, i : i + 2] for i in range(0, covs.shape[-1], 2)], axis=-3)
-    nus = _nu(blocks)  # (n, modes)
+    with np.errstate(over="ignore", invalid="ignore"):  # a determinant past the floats is far above the floor
+        nus = _nu(blocks)  # (n, modes)
     low = nus < hbar * (1.0 - PHYSICALITY_SLACK)
     if low.any():
         i, mode = np.argwhere(low)[0]  # row-major: the first failing point, then its first failing mode
-        fail(i, f"mode {mode + 1} has nu = {nus[i, mode]:.6g} < hbar = {hbar:.6g}", UnphysicalStateError)
+        message = f"mode {mode + 1} has nu = {nus[i, mode]:.6g} < hbar = {hbar:.6g}"
+        raise _point_error(message, i, times, UnphysicalStateError)
     return covs
 
 

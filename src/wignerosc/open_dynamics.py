@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock_dynamics import OscillatorParams
+from .fock_dynamics import OscillatorParams, _out_of_range, vacuum_scale
 from .gaussian_states import (
     GaussianState,
     ThermalBath,
+    _point_error,
     moment_coherence,
     moment_fidelity,
     validate_moments,
@@ -38,7 +39,6 @@ __all__ = [
     "evolve_coupled",
     "rising_intervals",
     "thermalize_closed_form",
-    "vacuum_scale",
 ]
 
 
@@ -91,22 +91,6 @@ def thermalize_closed_form(state: GaussianState, bath: ThermalBath, t: float) ->
         decay * state.cov + (1.0 - decay) * target,
         state.hbar,
     )
-
-
-def _out_of_range(quantity: str, *parameters: str) -> OverflowError:
-    """OverflowError naming the quantity and, as ``parameters``, the fields that set it."""
-    exc = OverflowError(f"{quantity} leaves the floats")
-    exc.parameters = parameters
-    return exc
-
-
-def vacuum_scale(params: OscillatorParams) -> np.ndarray:
-    """Physical (q1, p1, q2, p2) of one vacuum unit, sqrt(hbar / (m omega)) and sqrt(hbar m omega)."""
-    root, unit = math.sqrt(params.mass) * math.sqrt(params.omega), math.sqrt(params.hbar)
-    q, p = unit / root, unit * root
-    if not (0.0 < min(q, p) and max(q, p) < math.inf):
-        raise _out_of_range("the vacuum scale sqrt(hbar m omega)", "mass", "omega", "hbar")
-    return np.array([q, p, q, p])
 
 
 def drift_and_diffusion(params: OscillatorParams, bath: ThermalBath) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +159,8 @@ def evolve_coupled(
     returned in physical units; every state must pass GaussianState's checks.
     The tracks, the reduced mode-1 fidelity to the reservoir's asymptotic
     thermal state and the mode-1 coherence, are evaluated on the mode-1
-    moments in vacuum units in the frame turning with R(omega t).
+    moments in vacuum units in the frame turning with R(omega t); a track
+    value past the floats raises OverflowError naming its time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
@@ -207,10 +192,13 @@ def evolve_coupled(
     mean1 = row @ mean0.reshape(2, 2)
     blocks = excess.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)  # row kl holds Delta_kl
     cov1 = ((row[:, :, None] * row[:, None, :]).reshape(-1, 4) @ blocks).reshape(-1, 2, 2) + asymptote * np.eye(2)
-    fid = moment_fidelity(mean1, cov1, np.zeros(2), asymptote * np.eye(2))
-    return EvolutionRecord(
-        t_grid, means, covs, fid, moment_coherence(mean1, cov1), initial.hbar, backflow_intervals(t_grid, fid)
-    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below, at the first time
+        fid = moment_fidelity(mean1, cov1, np.zeros(2), asymptote * np.eye(2))
+        coh = moment_coherence(mean1, cov1)
+    bad = ~(np.isfinite(fid) & np.isfinite(coh))
+    if bad.any():
+        raise _point_error("the fidelity and coherence tracks leave the floats", np.argmax(bad), t_grid, OverflowError)
+    return EvolutionRecord(t_grid, means, covs, fid, coh, initial.hbar, backflow_intervals(t_grid, fid))
 
 
 def _monotone_violations(times, track, tol: float, rising: bool) -> list[tuple[float, float]]:

@@ -153,10 +153,13 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command,key", [
         ("fig1", "physics.mass"), ("fig1", "physics.omega"), ("fig1", "physics.hbar"),
         ("negativity", "mass"), ("negativity", "omega"), ("negativity", "hbar"), ("eigen", "mass"),
+        ("fig3", "physics.mass"), ("fig3", "physics.omega"), ("fig3", "physics.hbar"),
+        ("fidelity", "hbar"), ("coherence", "hbar"),
     ])
     def test_inert_keys_are_unknown(self, command, key, capsys):
-        # fig1 and the negativity depend on the pair and the angle only, the eigenvalue not on the mass
-        argv = ["fig1", "--set", f"{key}=1"] if command == "fig1" else ["query", command, f"{key}=1"]
+        # fig1 and the negativity depend on the pair and the angle only, the eigenvalue not on the
+        # mass; fig3, the fidelity and the coherence take their means in vacuum units
+        argv = [command, "--set", f"{key}=1"] if command.startswith("fig") else ["query", command, f"{key}=1"]
         assert main(argv) == 2
         assert "unknown configuration key" in capsys.readouterr().err
 
@@ -358,13 +361,14 @@ class TestFig3Command:
         assert main(["fig3", "--set", "physics.decay_rate=-1"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    # the first sample whose moments leave the floats, by its value in the t column (Gamma*t)
-    FAILING_T = {"physics.gamma=1.7e308": "0.15"}
+    # the first sample whose moments or tracks leave the floats, by its value in the t column (Gamma*t)
+    FAILING_T = {"physics.gamma=1.7e308": "0.15", "physics.nbar=1e200": "0"}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value,at_time", [
         ("physics.mbar=1e308", False),  # infinite asymptotic variance 2 mbar + 1
         ("physics.gamma=1.7e308", True),  # the exchange phase kappa t passes the float range
+        ("physics.nbar=1e200", True),  # det sigma_1 passes it: fidelity and coherence are nan
     ])
     def test_numeric_failure_exit_code(self, value, at_time, tmp_path, capsys):
         out = tmp_path / "f.csv"
@@ -380,25 +384,19 @@ class TestFig3Command:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
-    def test_moments_leaving_the_floats_name_the_first_time(self, tmp_path, capsys):
-        # the variances (2 mbar + 1) hbar m omega stay finite, but omega t passes the float
-        # range at t = 9.46 / Gamma: the failure names Gamma t = 0.95, the first sample it spoils
+    def test_time_span_past_the_floats_exits_3(self, tmp_path, capsys):
+        # t_max / Gamma is checked before any time grid is built, so no numpy warning precedes the line
         out = tmp_path / "f.csv"
-        sets = ["--set", "physics.omega=1.9e307", "--set", "physics.initial_covariance=thermal"]
-        assert main(["fig3", "--out", str(out), *sets, *FAST_FIG3]) == 3
-        err = capsys.readouterr().err
-        assert err == "numeric failure: propagation at gamma = 0.1 failed: moments must be finite at t = 0.95\n"
+        assert main(["fig3", "--out", str(out), "--set", "physics.decay_rate=5e-324"]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: the time span t_max / Gamma leaves the floats "
+            "(numeric.t_max = 6, physics.decay_rate = 5e-324)\n"
+        )
         assert not out.exists()
 
-    # Inputs that overflowed the step maps.  The closed form is exact for them; where the
-    # physical displacement is beyond the adjusted covariance in vacuum units, they run thermal.
+    # An input that overflowed the step maps; the closed form is exact for it.
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("sets", [
-        ["physics.gamma=1e300"],
-        ["physics.omega=1e200", "physics.initial_covariance=thermal"],
-        ["physics.omega=1e150", "physics.initial_covariance=thermal"],
-        ["physics.mass=1e-300", "physics.initial_covariance=thermal"],
-    ], ids=["gamma=1e300", "omega=1e200", "omega=1e150", "mass=1e-300"])
+    @pytest.mark.parametrize("sets", [["physics.gamma=1e300"]], ids=["gamma=1e300"])
     def test_former_overflows_run(self, sets, tmp_path):
         out = tmp_path / "f.csv"
         assert main(["fig3", "--out", str(out), *[f for key in sets for f in ("--set", key)], *FAST_FIG3]) == 0
@@ -406,11 +404,11 @@ class TestFig3Command:
         assert table.shape == (21, 4) and np.isfinite(table).all()
         assert np.all((table[:, 1] >= 0.0) & (table[:, 1] <= 1.0))
 
-    @pytest.mark.parametrize("value", ["physics.omega=1e200", "physics.omega=1e150", "physics.mass=1e-300"])
+    @pytest.mark.parametrize("value", ["3,0,0,0", "1,1,0.1,3", "1e200,1,1,1"])
     def test_displacement_beyond_adjusted_covariance_exits_2(self, value, tmp_path, capsys):
-        # (1, 1) in q and p is about (m omega)^(+-1/2) vacuum units, more than nbar = 2 quanta hold
+        # in vacuum units a displacement d carries |d|^2 / 4 quanta, more than nbar = 2 in one mode here
         out = tmp_path / "f.csv"
-        assert main(["fig3", "--out", str(out), "--set", value, *FAST_FIG3]) == 2
+        assert main(["fig3", "--out", str(out), "--set", f"physics.displacement={value}", *FAST_FIG3]) == 2
         assert "physics.nbar too small" in capsys.readouterr().err
         assert not out.exists()
 
@@ -431,21 +429,6 @@ class TestFig3Command:
         out = tmp_path / "f.csv"
         assert main(["fig3", "--out", str(out), "--set", "numeric.backflow_tol=1"]) == 0
         assert out.read_text().splitlines()[-1] == "# backflow_intervals,0"
-
-    @pytest.mark.parametrize("key", ["physics.mass=4", "physics.omega=3"])
-    def test_bath_thermalizes_for_any_m_omega(self, key):
-        cfg = resolve_config("fig3", None, [key, "numeric.t_max=200", "numeric.t_step=0.5"])
-        assert abs(run_fig3(cfg, 0.1)["columns"]["fidelity"][-1] - 1.0) < 1e-12
-
-    def test_columns_depend_on_m_omega_only(self):
-        # the initial state and the tracks are set in vacuum units, where only m omega enters
-        def columns(*sets):
-            cfg = resolve_config("fig3", None, ["numeric.t_max=20", "numeric.t_step=0.1", *sets])
-            return np.array(list(run_fig3(cfg, 0.1)["columns"].values()))
-
-        assert np.max(np.abs(columns("physics.mass=3", "physics.omega=0.3333333333333333") - columns())) < 1e-13
-        assert np.max(np.abs(columns("physics.mass=0.2", "physics.omega=5") - columns())) < 1e-13
-        assert np.max(np.abs(columns("physics.mass=4") - columns("physics.omega=4"))) < 1e-13
 
 
 def _stdlib_json(experiment: str, result: dict, cfg: dict) -> str:
@@ -519,6 +502,45 @@ def test_writers_match_stdlib_formatting(build):
     experiment, result, cfg = build()
     assert _json_text(experiment, result, cfg) == _stdlib_json(experiment, result, cfg)
     assert _csv_text(result) == _per_cell_csv(result)
+
+
+# a base run and, for every key, a value other than its default that changes the run's data
+KEY_CHANGES = {
+    "fig1": (FAST_FIG1[1::2], {
+        "physics.k": "2", "physics.l": "1", "numeric.theta_min": "0.1",
+        "numeric.theta_max": "1", "numeric.theta_step": "0.1",
+    }),
+    "fig3": (["numeric.t_step=0.05"], {  # two backflow intervals, which backflow_tol=1 drops
+        "physics.gamma": "0.2", "physics.decay_rate": "0.2", "physics.nbar": "3", "physics.mbar": "5",
+        "physics.displacement": "1,0,1,1", "physics.initial_covariance": "thermal",
+        "numeric.t_max": "5", "numeric.t_step": "0.1", "numeric.backflow_tol": "1",
+    }),
+    "eigen": ([], {"k": "2", "l": "1", "gamma": "0.5", "hbar": "2", "omega": "3"}),
+    "fidelity": ([], {"nbar1": "1", "nbar2": "2", "d1": "1,0", "d2": "0,1"}),
+    "coherence": (["d=1,0"], {"nbar": "1", "d": "2,0"}),  # thermal states have zero coherence at any nbar
+    "negativity": (["theta=0.3"], {"k": "2", "l": "1", "theta": "0.5", "mode": "2"}),
+}
+
+
+def _data_output(command: str, sets: list[str], tmp_path, capsys) -> str:
+    """What a run writes as data: the CSV file of fig1 and fig3, the printed value of a query."""
+    if command in ("fig1", "fig3"):
+        out = tmp_path / "data.csv"
+        assert main([command, "--out", str(out), *[f for value in sets for f in ("--set", value)]]) == 0
+        capsys.readouterr()
+        return out.read_text()
+    assert main(["query", command, *sets]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,key", [(command, key) for command, keys in KEYS.items() for key in keys])
+def test_every_key_changes_the_data(command, key, tmp_path, capsys):
+    # a key that changes no output is inert; a new key needs an entry in KEY_CHANGES, and must change the data
+    base, changes = KEY_CHANGES[command]
+    assert key in changes, f"KEY_CHANGES lists no value for {command} {key}"
+    assert changes[key] != KEYS[command][key][1]
+    reference = _data_output(command, list(base), tmp_path, capsys)
+    assert _data_output(command, [*base, f"{key}={changes[key]}"], tmp_path, capsys) != reference
 
 
 def _readme_commands() -> list[str]:

@@ -31,6 +31,7 @@ from wignerosc.info_measures import (
 from wignerosc.quadrature import gauss_hermite
 
 UNIT = OscillatorParams(gamma=1.0)  # mixing angle theta equals the time
+OFF_UNIT_MODELS = [(4.0, 1.0, 1.0, 0.0), (1.0, 3.0, 1.0, 0.35), (2.3, 0.7, 0.5, 0.2)]  # (m, omega, hbar, gamma)
 
 
 class TestLinearEntropy:
@@ -229,13 +230,15 @@ class TestExpectationValue:
         assert value == pytest.approx(2.1, abs=1e-12)
 
     def test_eigenstate_energy_sweep(self):
-        params = OscillatorParams(gamma=0.35)
         from wignerosc.fock_dynamics import energy
 
-        for n1, n2 in ((0, 0), (0, 2), (2, 1)):
-            field = eigenstate_field(n1, n2, params)
-            value = expectation_value(field, hamiltonian_symbol(params))
-            assert value == pytest.approx(energy(n1, n2, params), rel=1e-12)
+        # m omega != 1 checks the envelope rates' orientation: a_q = m omega / hbar, a_p = 1 / (m omega hbar)
+        for mass, omega, hbar, gamma in ((1.0, 1.0, 1.0, 0.35), *OFF_UNIT_MODELS):
+            params = OscillatorParams(mass=mass, omega=omega, hbar=hbar, gamma=gamma)
+            for n1, n2 in ((0, 0), (0, 2), (2, 1)):
+                field = eigenstate_field(n1, n2, params)
+                value = expectation_value(field, hamiltonian_symbol(params))
+                assert value == pytest.approx(energy(n1, n2, params), rel=1e-12)
 
     def test_odd_observable_vanishes(self):
         state = FockPairState(1, 0, UNIT)

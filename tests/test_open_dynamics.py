@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from wignerosc.fock_dynamics import OscillatorParams, PhasePoint, classical_trajectory
+from wignerosc.fock_dynamics import OscillatorParams, PhasePoint, classical_trajectory, vacuum_scale
 from wignerosc.gaussian_states import (
     GaussianState,
     ThermalBath,
@@ -27,6 +27,7 @@ from wignerosc.open_dynamics import (
 PARAMS = OscillatorParams(gamma=0.1)
 PARAMS_FREE = OscillatorParams(gamma=0.0)
 BATH = ThermalBath(0.1, 4.0)
+OFF_UNIT_MODELS = [(4.0, 1.0, 1.0, 0.0), (1.0, 3.0, 1.0, 0.35), (2.3, 0.7, 0.5, 0.2)]  # (m, omega, hbar, gamma)
 
 
 def van_loan_doubled(drift, diffusion, t: float, doublings: int):
@@ -37,6 +38,12 @@ def van_loan_doubled(drift, diffusion, t: float, doublings: int):
         noise = phi @ noise @ phi.T + noise
         phi = phi @ phi
     return phi, noise
+
+
+def vacuum_units_state(params, mean, cov) -> GaussianState:
+    """The state with these moments in vacuum units, in the physical units of params."""
+    scale = vacuum_scale(params)
+    return GaussianState(scale * mean, np.outer(scale, scale) * cov, params.hbar)
 
 
 def figure_initial(displacement=(1.0, 1.0, 1.0, 1.0), block=4.0):
@@ -73,8 +80,10 @@ class TestClosedForm:
 
 class TestDriftDiffusion:
     def test_hamiltonian_flow_matches_trajectories(self):
-        # with no bath, integrating z' = A z must land on the closed-form flow
-        for params in (PARAMS_FREE, OscillatorParams(gamma=0.3)):
+        # with no bath, integrating z' = A z must land on the closed-form flow, and e^{At} must be
+        # that flow; m omega != 1 checks its q <-> p ratio 1 / (m omega)
+        models = [OscillatorParams(mass=m, omega=w, hbar=h, gamma=g) for m, w, h, g in OFF_UNIT_MODELS]
+        for params in (PARAMS_FREE, OscillatorParams(gamma=0.3), *models):
             drift, diffusion = drift_and_diffusion(params, ThermalBath(0.0, 0.0))
             assert np.allclose(diffusion, 0.0)
             rng = np.random.default_rng(31)
@@ -90,6 +99,10 @@ class TestDriftDiffusion:
                 current = current + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             target = classical_trajectory(start, t_final, params).as_array()
             assert np.allclose(current, target, atol=1e-9)
+            flow = np.column_stack(
+                [classical_trajectory(PhasePoint(*unit), t_final, params).as_array() for unit in np.eye(4)]
+            )
+            assert np.max(np.abs(flow - oracles.van_loan_map(drift, diffusion, t_final)[0])) < 1e-14
 
     def test_flow_derivative_matches_trajectory(self):
         drift, _ = drift_and_diffusion(PARAMS, ThermalBath(0.0, 0.0))
@@ -135,6 +148,16 @@ class TestOutOfRange:
         with pytest.raises(OverflowError, match=re.escape(quantity)) as info:
             evolve_coupled(initial, params, bath, np.linspace(0.0, 1.0, 3))
         assert info.value.parameters == parameters
+
+    @pytest.mark.filterwarnings("error")
+    def test_moments_leaving_the_floats_name_the_first_time(self):
+        # the variances (2 mbar + 1) hbar m omega stay finite, but omega t passes the float range
+        # at t = 9.46: the failure names t = 9.5, the first sample it spoils
+        params = OscillatorParams(omega=1.9e307, gamma=0.1)
+        initial = vacuum_units_state(params, np.ones(4), 5.0 * np.eye(4))
+        with pytest.raises(ValueError, match="moments must be finite at t = 9.5$") as info:
+            evolve_coupled(initial, params, BATH, 0.5 * np.arange(21))
+        assert info.value.index == 19
 
     def test_moments_past_the_floats_name_the_first_time(self):
         # finite coefficients, but not the initial q variance in vacuum units, 4 m omega / hbar
@@ -237,6 +260,31 @@ class TestEvolveCoupled:
         assert track.max() - track.min() > 1e-3
         shift = 200  # grid points per period
         assert np.max(np.abs(track[shift:] - track[:-shift])) < 1e-6
+
+    # (m, omega, hbar), up to vacuum units whose squares are near the ends of the float range
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mass,omega,hbar", [
+        (3.0, 0.3333333333333333, 1.0), (0.2, 5.0, 1.0), (4.0, 1.0, 1.0), (1.0, 4.0, 1.0), (2.3, 0.7, 0.5),
+        (1.0, 1e200, 1.0), (1.0, 1e150, 1.0), (1e-300, 1.0, 1.0),
+    ], ids=["m=3,omega=1/3", "m=0.2,omega=5", "m=4", "omega=4", "m=2.3,omega=0.7,hbar=0.5",
+            "omega=1e200", "omega=1e150", "m=1e-300"])
+    def test_tracks_are_unit_free(self, mass, omega, hbar):
+        # the figure's initial state, given in vacuum units, has the unit model's tracks in any units
+        times = 0.1 * np.arange(201) / BATH.decay_rate  # Gamma t = 0, 0.1, ..., 20
+        unit = evolve_coupled(figure_initial(), PARAMS, BATH, times)
+        params = OscillatorParams(mass=mass, omega=omega, hbar=hbar, gamma=PARAMS.gamma)
+        initial = vacuum_units_state(params, np.ones(4), 4.0 * np.eye(4))
+        record = evolve_coupled(initial, params, BATH, times)
+        assert np.max(np.abs(record.fidelity_track - unit.fidelity_track)) < 1e-13
+        assert np.max(np.abs(record.coherence_track - unit.coherence_track)) < 1e-13
+
+    @pytest.mark.parametrize("mass,omega", [(4.0, 1.0), (1.0, 3.0)], ids=["m=4", "omega=3"])
+    def test_bath_thermalizes_for_any_m_omega(self, mass, omega):
+        # the reduced mode-1 fidelity to the bath's thermal state reaches 1 at Gamma t = 200
+        params = OscillatorParams(mass=mass, omega=omega, gamma=0.1)
+        initial = vacuum_units_state(params, np.ones(4), 4.0 * np.eye(4))
+        record = evolve_coupled(initial, params, BATH, np.array([0.0, 200.0 / BATH.decay_rate]))
+        assert abs(record.fidelity_track[-1] - 1.0) < 1e-12
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
