@@ -17,19 +17,10 @@ from .quadrature import (
 from .fock_dynamics import (
     FockPairState,
     OscillatorParams,
-    PhasePoint,
     WignerField,
-    classical_trajectory,
-    eigenstate_field,
     energy,
-    evolved_wigner,
-    hamiltonian_symbol,
-    marginal_field,
-    marginal_wigner,
     mode_populations,
     pair_field,
-    radial_profile,
-    stationary_wigner,
     vacuum_scale,
 )
 from .gaussian_states import (
@@ -38,17 +29,12 @@ from .gaussian_states import (
     UnphysicalStateError,
     coherence,
     fidelity,
-    gaussian_wigner,
-    mean_photon,
     reduce_mode,
-    state_from_record,
     state_to_record,
     thermal_state,
 )
 from .info_measures import (
     NegativityError,
-    expectation_value,
-    gaussian_field,
     linear_entropy,
     mutual_information,
     negativity,
@@ -56,7 +42,6 @@ from .info_measures import (
 from .open_dynamics import (
     EvolutionRecord,
     backflow_intervals,
-    drift_and_diffusion,
     evolve_coupled,
     rising_intervals,
     thermalize_closed_form,

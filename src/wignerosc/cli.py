@@ -201,9 +201,16 @@ def resolve_config(experiment: str, path: str | None, sets: list[str]) -> dict[s
     return cfg
 
 
-def _axis(start: float, stop: float, step: float) -> np.ndarray:
-    """start, start + step, ... up to stop, which a rounding error of 1e-9 steps still includes."""
-    return start + step * np.arange(int(math.floor((stop - start) / step + 1e-9)) + 1)
+def _axis(start: float, stop: float, step: float, key: str) -> np.ndarray:
+    """start, start + step, ... up to stop, which a rounding error of 1e-9 steps still includes.
+
+    A point count too large to allocate is a ConfigError naming key, the step's key.
+    """
+    points = np.floor((stop - start) / step + 1e-9) + 1  # a float, inf once the count passes the floats
+    try:
+        return start + step * np.arange(int(points))
+    except (OverflowError, MemoryError, ValueError):  # an infinite count, or too many points to allocate
+        raise ConfigError(f"{key} = {step!r} gives {points:.6g} points, too many to allocate") from None
 
 
 def _pair(k: int, ell: int) -> FockPairState:
@@ -232,7 +239,7 @@ def run_fig1(cfg: dict[str, str]) -> dict:
     state = _pair(k, ell)
     keys = ("numeric.theta_min", "numeric.theta_max", "numeric.theta_step")
     lo, hi, step = (float(cfg[key]) for key in keys)
-    thetas = _axis(lo, hi, step)
+    thetas = _axis(lo, hi, step, keys[2])
     probs = mode_populations(state, thetas)
     return {
         "columns": {
@@ -278,7 +285,7 @@ def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
         keys = ", ".join(f"{key} = {cfg[key]}" for key in ("numeric.t_max", "physics.decay_rate"))
         raise NumericFailure(f"the time span t_max / Gamma leaves the floats ({keys})")
     bath = ThermalBath(rate, float(cfg["physics.mbar"]))
-    scaled = _axis(0.0, t_max, float(cfg["numeric.t_step"]))  # dimensionless Gamma*t
+    scaled = _axis(0.0, t_max, float(cfg["numeric.t_step"]), "numeric.t_step")  # dimensionless Gamma*t
     try:
         initial = _fig3_initial_state(cfg)
         record = evolve_coupled(initial, OscillatorParams(gamma=gamma), bath, scaled / rate)

@@ -4,8 +4,7 @@ Conventions: the covariance is sigma_AB = <AB + BA> - 2<A><B>, so the
 vacuum has sigma = hbar * identity and a pure single-mode state has
 nu = sqrt(det sigma) = hbar.  The closed-form fidelity and coherence
 below are written for hbar = 1 units and applied to sigma/hbar, which
-keeps them valid for any hbar.  The Wigner evaluator integrates to one
-with the (2 pi)^N sqrt(det sigma) normalization.
+keeps them valid for any hbar.
 """
 
 from __future__ import annotations
@@ -21,14 +20,10 @@ __all__ = [
     "UnphysicalStateError",
     "coherence",
     "fidelity",
-    "gaussian_wigner",
-    "mean_photon",
     "moment_coherence",
     "moment_fidelity",
     "reduce_mode",
-    "state_from_record",
     "state_to_record",
-    "symplectic_nu",
     "thermal_state",
     "validate_moments",
 ]
@@ -134,35 +129,6 @@ def validate_moments(means, covs, hbar: float, times=None) -> np.ndarray:
     return covs
 
 
-def symplectic_nu(state: GaussianState, mode: int = 1) -> float:
-    """Single-mode invariant nu = sqrt(s_qq * s_pp - s_qp^2) of one 2x2 block."""
-    if not 1 <= mode <= state.modes:
-        raise ValueError(f"invalid mode index {mode}")
-    i = 2 * (mode - 1)
-    return float(_nu(state.cov[i : i + 2, i : i + 2]))
-
-
-def gaussian_wigner(state: GaussianState, *coords):
-    """Normalized Gaussian Wigner function at (q1, p1[, q2, p2]).
-
-    exp[-(1/2)(R-d)^T sigma^-1 (R-d)] / ((2 pi)^N sqrt(det sigma)); the
-    phase-space integral is one.
-    """
-    if len(coords) != state.mean.size:
-        raise ValueError(f"expected {state.mean.size} coordinates, got {len(coords)}")
-    arrays = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
-    stacked = np.stack(arrays, axis=-1)
-    diff = stacked - state.mean
-    det = np.linalg.det(state.cov)
-    if det <= 0:
-        raise ValueError("covariance must be nonsingular")
-    inv = np.linalg.inv(state.cov)
-    quad = np.einsum("...i,ij,...j->...", diff, inv, diff)
-    norm = (2.0 * math.pi) ** state.modes * math.sqrt(det)
-    out = np.exp(-0.5 * quad) / norm
-    return float(out) if out.ndim == 0 else out
-
-
 def thermal_state(nbar: float, hbar: float = 1.0) -> GaussianState:
     """Single-mode thermal state: zero mean, sigma = (2 nbar + 1) * hbar * I."""
     if nbar < 0:
@@ -178,14 +144,6 @@ def reduce_mode(state: GaussianState, mode: int) -> GaussianState:
         raise ValueError("mode must be 1 or 2")
     i = 2 * (mode - 1)
     return GaussianState(state.mean[i : i + 2], state.cov[i : i + 2, i : i + 2], state.hbar)
-
-
-def mean_photon(state: GaussianState) -> float:
-    """(sigma_11 + sigma_22 + d1^2 + d2^2 - 2) / 4 in vacuum units."""
-    if state.modes != 1:
-        raise ValueError("mean photon number is defined for single-mode states")
-    value = 0.25 * (np.trace(state.cov) / state.hbar + state.mean @ state.mean / state.hbar - 2.0)
-    return 0.0 if -1e-12 <= value < 0.0 else float(value)
 
 
 def moment_fidelity(mean1, cov1, mean2, cov2):
@@ -233,8 +191,12 @@ def moment_coherence(mean, cov):
     spread = (s11 - s22) ** 2 + 4.0 * s12 * s12
     delta = 0.25 * (np.sum(np.square(mean), axis=-1) + spread / (s11 + s22 + 2.0 * nu))
     ratio = np.divide(delta, m, out=np.zeros_like(delta), where=m > 0.0)
-    inverse = np.divide(1.0, m + delta, out=np.zeros_like(delta), where=delta > 0.0)
-    nats = (m + 1.0) * np.log1p(delta / (m + 1.0)) - m * np.log1p(ratio) + delta * np.log1p(inverse)
+    x = m + delta
+    near = x < 1.0  # there 1/x may overflow: log1p(1/x) = log1p(x) - log(x), with no cancellation
+    inverse = np.divide(1.0, x, out=np.zeros_like(delta), where=~near)
+    logs = np.log(x, out=np.zeros_like(delta), where=near & (delta > 0.0))
+    excess = np.where(near, np.log1p(x) - logs, np.log1p(inverse))  # log1p(1/x), times delta below
+    nats = (m + 1.0) * np.log1p(delta / (m + 1.0)) - m * np.log1p(ratio) + delta * excess
     return np.maximum(nats / math.log(2.0), 0.0)
 
 
@@ -253,15 +215,3 @@ def state_to_record(state: GaussianState) -> dict:
         "d": [float(v) for v in state.mean],
         "sigma": [[float(v) for v in row] for row in state.cov],
     }
-
-
-def state_from_record(record: dict) -> GaussianState:
-    """Rebuild a state from :func:`state_to_record` output."""
-    state = GaussianState(
-        np.asarray(record["d"], dtype=float),
-        np.asarray(record["sigma"], dtype=float),
-        float(record.get("hbar", 1.0)),
-    )
-    if state.modes != int(record["N"]):
-        raise ValueError("record mode count does not match moment sizes")
-    return state

@@ -1,34 +1,28 @@
 """Informational functionals of Wigner functions.
 
-Linear entropy S = 1 - (2 pi hbar)^N integral(W^2), the mutual information
-I = S(W_1) + S(W_2) - S(W) built from single-mode marginals, the Wigner
-negativity delta = integral(|W|) - integral(W), and phase-space
-expectation values integral(W * O).
+Linear entropy S = 1 - (2 pi hbar)^2 integral(W^2), the mutual information
+I = S(W_1) + S(W_2) - S(W) built from single-mode marginals, and the Wigner
+negativity delta = integral(|W|) - integral(W).
 
-The integrals take a :class:`~wignerosc.fock_dynamics.WignerField`,
-W = profile * exp(-sum_i a_i z_i^2), and evaluate by Gauss-Hermite rules
-exactly (polynomial profiles) or to machine accuracy.  For the
-number-state pair the mutual information and the negativity need no
-integration at all: both follow in closed form from the single-mode
-populations.
+The integrals take the two-mode :class:`~wignerosc.fock_dynamics.WignerField`
+of the pair, W = profile * exp(-sum_i a_i z_i^2) with a polynomial profile,
+and evaluate exactly by Gauss-Hermite rules.  For the number-state pair the
+mutual information and the negativity need no integration at all: both
+follow in closed form from the single-mode populations.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from .fock_dynamics import FockPairState, WignerField, mode_populations
-from .gaussian_states import GaussianState
 from .quadrature import QuadratureRule, gauss_hermite, laguerre_table
 
 __all__ = [
     "MAX_QUANTA",
     "NegativityError",
-    "expectation_value",
-    "gaussian_field",
     "linear_entropy",
     "mutual_information",
     "negativity",
@@ -36,30 +30,9 @@ __all__ = [
 ]
 
 
-def gaussian_field(state: GaussianState) -> WignerField:
-    """Field of a Gaussian state with a diagonal covariance.
-
-    The profile is exp(linear), not polynomial, which is enough for
-    Gauss-Hermite functionals to converge to machine accuracy.
-    """
-    sigma = state.cov
-    if not np.allclose(sigma, np.diag(np.diag(sigma)), atol=1e-14):
-        raise ValueError("gaussian_field needs a diagonal covariance; evaluate others with gaussian_wigner")
-    variances = np.diag(sigma)
-    d = state.mean
-    norm = 1.0 / ((2 * math.pi) ** state.modes * math.sqrt(np.linalg.det(sigma)))
-
-    def profile(*z):
-        return norm * np.exp(sum((d[i] * c - 0.5 * d[i] ** 2) / variances[i] for i, c in enumerate(z)))
-
-    return WignerField(profile, tuple(1.0 / (2.0 * v) for v in variances), state.hbar)
-
-
 def _auto_rule(field: WignerField, squared: bool) -> QuadratureRule:
-    degree = field.degree
-    if degree is None:
-        return gauss_hermite(32)
-    needed = degree + 1 if squared else degree // 2 + 1
+    """Gauss-Hermite rule exact for the field's profile, or for its square when squared."""
+    needed = field.degree + 1 if squared else field.degree // 2 + 1
     return gauss_hermite(max(8, needed))
 
 
@@ -77,19 +50,15 @@ def _envelope_points(field: WignerField, rule: QuadratureRule, scale: float):
     return grids, combo, jacobian
 
 
-def linear_entropy(field: WignerField, rule: QuadratureRule | None = None) -> float:
-    """1 - (2 pi hbar)^N * integral(W^2) over the field's phase space.
+def linear_entropy(field: WignerField) -> float:
+    """1 - (2 pi hbar)^2 * integral(W^2) over the field's phase space.
 
     Zero for pure states; results within 1e-9 of the [0, 1] bounds are
     clamped onto them.
     """
-    if rule is None:
-        rule = _auto_rule(field, squared=True)
-    grids, combo, jacobian = _envelope_points(field, rule, scale=2.0)
+    grids, combo, jacobian = _envelope_points(field, _auto_rule(field, squared=True), scale=2.0)
     vals = field.profile(*grids)
-    purity = (2 * math.pi * field.hbar) ** field.mode_count * jacobian * float(
-        np.sum(combo * vals * vals)
-    )
+    purity = (2 * math.pi * field.hbar) ** 2 * jacobian * float(np.sum(combo * vals * vals))
     s = 1.0 - purity
     if -1e-9 <= s < 0.0:
         return 0.0
@@ -98,11 +67,9 @@ def linear_entropy(field: WignerField, rule: QuadratureRule | None = None) -> fl
     return s
 
 
-def normalization(field: WignerField, rule: QuadratureRule | None = None) -> float:
+def normalization(field: WignerField) -> float:
     """integral(W) over the field's phase space (1 for a valid state)."""
-    if rule is None:
-        rule = _auto_rule(field, squared=False)
-    grids, combo, jacobian = _envelope_points(field, rule, scale=1.0)
+    grids, combo, jacobian = _envelope_points(field, _auto_rule(field, squared=False), scale=1.0)
     vals = field.profile(*grids)
     return jacobian * float(np.sum(combo * vals))
 
@@ -249,17 +216,3 @@ def _negativity_rows(rows: np.ndarray, v: np.ndarray, table: np.ndarray) -> np.n
     np.add.at(out, which, np.maximum(at_root - before, 0.0))
     out[which[last]] += np.maximum(-at_root[last], 0.0)  # last root to infinity, T(inf) = 0
     return out
-
-
-def expectation_value(field: WignerField, observable: Callable, rule: QuadratureRule | None = None) -> float:
-    """Phase-space average integral(W * O) of an observable symbol.
-
-    Exact when profile and symbol are polynomials inside the rule's
-    exactness window; the normalized-W convention absorbs the usual
-    Planck-cell prefactor.
-    """
-    if rule is None:
-        rule = _auto_rule(field, squared=True)
-    grids, combo, jacobian = _envelope_points(field, rule, scale=1.0)
-    vals = field.profile(*grids) * observable(*grids)
-    return jacobian * float(np.sum(combo * vals))

@@ -2,7 +2,8 @@
 
 Mode 1 couples to a Markovian thermal reservoir (rate Gamma, occupation
 mbar) while exchanging excitations with mode 2 through the rotational
-coupling gamma.  The moments obey d' = A d, sigma' = A sigma + sigma A^T + D.
+coupling gamma.  The moments obey d' = A d, sigma' = A sigma + sigma A^T + D,
+with the model's drift A and diffusion D.
 In the vacuum-scaled quadratures x = q sqrt(m omega / hbar) and
 y = p / sqrt(m omega hbar) the bath damps mode 1 at Gamma/2 and diffuses it
 at Gamma (2 mbar + 1), and A = I (x) omega J + C (x) I splits into commuting
@@ -35,7 +36,6 @@ from .gaussian_states import (
 __all__ = [
     "EvolutionRecord",
     "backflow_intervals",
-    "drift_and_diffusion",
     "evolve_coupled",
     "rising_intervals",
     "thermalize_closed_form",
@@ -91,38 +91,6 @@ def thermalize_closed_form(state: GaussianState, bath: ThermalBath, t: float) ->
         decay * state.cov + (1.0 - decay) * target,
         state.hbar,
     )
-
-
-def drift_and_diffusion(params: OscillatorParams, bath: ThermalBath) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and diffusion matrices of the model in physical (q1, p1, q2, p2).
-
-    The Hamiltonian part follows q1' = 2 alpha^2 p1 + gamma q2, p1' = -2 beta^2 q1 + gamma p2
-    and the mode-2 mirror images with the opposite coupling sign.  The bath damps mode 1 at
-    Gamma/2 and diffuses it at Gamma (2 mbar + 1) times its vacuum variances.  Coefficients
-    beyond the float range raise OverflowError.
-    """
-    try:
-        a2 = 2.0 * params.alpha**2
-    except OverflowError:
-        raise _out_of_range("the drift coefficient 2 alpha^2 = 1/m", "mass") from None
-    try:
-        b2 = 2.0 * params.beta**2
-    except OverflowError:
-        raise _out_of_range("the drift coefficient 2 beta^2 = m omega^2", "mass", "omega") from None
-    g = params.gamma
-    damp = -bath.decay_rate / 2.0
-    drift = np.array([[damp, a2, g, 0.0], [-b2, damp, 0.0, g], [-g, 0.0, 0.0, a2], [0.0, -g, -b2, 0.0]])
-    noise = bath.decay_rate * (2.0 * bath.mean_occupation + 1.0) * params.hbar
-    if not math.isfinite(noise):
-        raise _out_of_range(
-            "the diffusion coefficient Gamma (2 mbar + 1) hbar", "decay_rate", "mean_occupation", "hbar"
-        )
-    m_omega = params.mass * params.omega  # finite whenever beta^2 is
-    diffusion = np.diag([noise / m_omega, noise * m_omega, 0.0, 0.0])
-    if not np.isfinite(diffusion).all():
-        quantity = "the diffusion coefficients Gamma (2 mbar + 1) hbar (m omega)^(-1, 1)"
-        raise _out_of_range(quantity, "decay_rate", "mean_occupation", "hbar", "mass", "omega")
-    return drift, diffusion
 
 
 def _exchange_flow(rate: float, gamma: float, t: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Integration kernels shared by the physics modules.
 
-Gaussian-weighted integrals of polynomials (normalizations, purities,
-expectation values) are exact under Gauss-Hermite rules.  Laguerre
+Gaussian-weighted integrals of polynomials (normalizations and purities)
+are exact under Gauss-Hermite rules.  Laguerre
 polynomials, the radial profile of every number-state Wigner function,
 are evaluated here by the stable three-term recurrence.
 """

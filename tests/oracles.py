@@ -3,11 +3,15 @@
 Everything here deliberately avoids the library's evaluation paths:
 occupation probabilities come from enumerating beam-splitter amplitudes
 in mpmath, negativities from 30-digit radial integrals split at the
-roots of the monomial-form profile, purities and negativities from
-dense trapezoid grids, Gaussian moments from fourth-order Runge-Kutta
-steps of the moment equations, steady states from a Kronecker solve of
-the Lyapunov equation, one-step moment maps from scipy's expm, and
-30-digit moments and mode tracks from mpmath's expm of Van Loan's block.
+roots of the monomial-form profile, single-mode marginals from scipy's
+Laguerre polynomials, purities and negativities from dense trapezoid
+grids, Gaussian Wigner functions from the inverse covariance, the
+model's drift and diffusion in physical units and its Hamiltonian flow
+as matrices, Gaussian moments from fourth-order Runge-Kutta steps of the
+moment equations, steady states from a Kronecker solve of the Lyapunov
+equation, one-step moment maps from scipy's expm, and 30-digit moments
+and mode tracks from mpmath's expm of Van Loan's block.  Nothing here
+imports the library.
 """
 
 from __future__ import annotations
@@ -161,6 +165,29 @@ def integrate_grid(samples, grid: PhaseSpaceGrid) -> float:
     return float(out)
 
 
+def marginal_wigner(populations, q, p, a_q: float = 1.0, a_p: float = 1.0, hbar: float = 1.0):
+    """Wigner function of the number-diagonal state sum_j P_j |j><j| at (q, p).
+
+    sum_j (-1)^j P_j L_j(2s) e^{-s} / (pi hbar) with s = a_q q^2 + a_p p^2 and
+    a_q a_p = 1/hbar^2; the Laguerre values come from scipy.
+    """
+    from scipy.special import eval_laguerre
+
+    s = a_q * np.square(q) + a_p * np.square(p)
+    profile = sum((-1) ** j * prob * eval_laguerre(j, 2.0 * s) for j, prob in enumerate(populations))
+    return np.exp(-s) * profile / (math.pi * hbar)
+
+
+def gaussian_wigner(mean, cov, *coords):
+    """exp(-(z - d)^T sigma^-1 (z - d) / 2) / ((2 pi)^N sqrt(det sigma)) at z = coords, broadcast."""
+    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+    if len(coords) != mean.size:
+        raise ValueError(f"expected {mean.size} coordinates, got {len(coords)}")
+    diff = np.stack(np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords]), axis=-1) - mean
+    quad = np.einsum("...i,ij,...j->...", diff, np.linalg.inv(cov), diff)
+    return np.exp(-0.5 * quad) / ((2.0 * math.pi) ** (mean.size // 2) * math.sqrt(np.linalg.det(cov)))
+
+
 def _grid_values(values_fn, grid: PhaseSpaceGrid) -> np.ndarray:
     ax = grid.axis()
     return np.asarray(values_fn(ax[:, None], ax[None, :]), dtype=float)
@@ -178,6 +205,37 @@ def dense_grid_negativity(values_fn, extent: float, points: int) -> float:
     grid = PhaseSpaceGrid(extent, points)
     vals = _grid_values(values_fn, grid)
     return integrate_grid(np.abs(vals) - vals, grid)
+
+
+def drift_and_diffusion(alpha, beta, hbar, gamma, decay_rate, mbar) -> tuple[np.ndarray, np.ndarray]:
+    """Drift A and diffusion D of the model in physical (q1, p1, q2, p2).
+
+    Hamilton's equations of H = alpha^2 (p1^2 + p2^2) + beta^2 (q1^2 + q2^2) + gamma (p1 q2 - p2 q1):
+    q1' = 2 alpha^2 p1 + gamma q2, p1' = -2 beta^2 q1 + gamma p2, and the mode-2 mirror images
+    under the opposite coupling sign.  The bath damps mode 1 at decay_rate / 2 and diffuses it at
+    decay_rate (2 mbar + 1) times its vacuum variances hbar alpha / beta and hbar beta / alpha.
+    """
+    a2, b2, damp = 2.0 * alpha**2, 2.0 * beta**2, -decay_rate / 2.0
+    drift = np.array([
+        [damp, a2, gamma, 0.0],
+        [-b2, damp, 0.0, gamma],
+        [-gamma, 0.0, 0.0, a2],
+        [0.0, -gamma, -b2, 0.0],
+    ])
+    noise = decay_rate * (2.0 * mbar + 1.0) * hbar
+    return drift, np.diag([noise * alpha / beta, noise * beta / alpha, 0.0, 0.0])
+
+
+def hamiltonian_flow(mass, omega, gamma, t) -> np.ndarray:
+    """The 4 x 4 matrix carrying (q1, p1, q2, p2) along Hamilton's equations for a time t.
+
+    The rotation mixing the mode planes at gamma, [[c, s], [-s, c]] at gamma t,
+    times each mode's own rotation at omega, which turns q into p / (m omega).
+    """
+    cg, sg = math.cos(gamma * t), math.sin(gamma * t)
+    cw, sw = math.cos(omega * t), math.sin(omega * t)
+    ratio = mass * omega
+    return np.kron([[cg, sg], [-sg, cg]], [[cw, sw / ratio], [-sw * ratio, cw]])
 
 
 def rk4_moments(drift, diffusion, mean, cov, t_grid, max_step: float):

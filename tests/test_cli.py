@@ -94,9 +94,10 @@ class TestQuery:
     @pytest.mark.parametrize("params,code,printed", [
         (["eigen", "k=1", "l=0", "gamma=1e308", "hbar=10"], 3, ""),  # hbar * gamma overflows
         (["coherence", "nbar=0", "d=1e200,0"], 3, ""),  # |d|^2 overflows, the entropy is nan
+        (["coherence", "nbar=0", "d=1e-154,0"], 0, "2.56649137067e-306 bits\n"),  # 1 / (|d|^2 / 4) overflows
         (["fidelity", "d1=1e200,0"], 0, "0\n"),  # the overlap underflows to its true value
         (["eigen", f"k={10**400}"], 3, ""),  # an integer too large for a float
-    ], ids=["eigen", "coherence", "fidelity", "eigen_huge_k"])
+    ], ids=["eigen", "coherence", "coherence_tiny_d", "fidelity", "eigen_huge_k"])
     def test_non_finite_results_exit_3(self, params, code, printed, capsys):
         assert main(["query", *params]) == code
         out, err = capsys.readouterr()
@@ -216,6 +217,21 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "configuration error" in captured.err
+
+    # each count's int64 axis passes 2^48 bytes, beyond any machine's address space, so no run allocates it
+    @pytest.mark.parametrize("command,key,step,points", [
+        ("fig1", "numeric.theta_step", "1e-14", "3.14159e+14"),
+        ("fig3", "numeric.t_step", "1e-13", "6e+13"),
+        ("fig1", "numeric.theta_step", "1e-300", "3.14159e+300"),
+        ("fig3", "numeric.t_step", "5e-324", "inf"),
+    ])
+    def test_axis_too_large_to_allocate_exits_2(self, command, key, step, points, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert main([command, "--out", str(out), "--set", f"{key}={step}"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {key} = {step} gives {points} points, too many to allocate\n"
+        )
+        assert not out.exists()
 
     def test_parse_overrides(self):
         with pytest.raises(ConfigError):

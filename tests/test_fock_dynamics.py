@@ -7,19 +7,16 @@ import oracles
 from wignerosc.fock_dynamics import (
     FockPairState,
     OscillatorParams,
-    PhasePoint,
-    classical_trajectory,
     energy,
     envelope_rates,
-    evolved_wigner,
-    marginal_wigner,
     mode_populations,
-    stationary_wigner,
+    pair_field,
 )
 from wignerosc.quadrature import gauss_hermite, laguerre
 
 DEFAULT = OscillatorParams()
 COUPLED = OscillatorParams(gamma=0.1)
+OFF_UNIT_MODELS = [(4.0, 1.0, 1.0, 0.0), (1.0, 3.0, 1.0, 0.35), (2.3, 0.7, 0.5, 0.2)]  # (m, omega, hbar, gamma)
 
 
 def fock_1d(n, q, p, hbar=1.0):
@@ -31,6 +28,23 @@ def fock_1d(n, q, p, hbar=1.0):
 def exact_rule(k, ell):
     """Gauss-Hermite rule exact for the purity integrands of |k> x |l>, degree 4(k+l)."""
     return gauss_hermite(max(8, 2 * (k + ell) + 1))
+
+
+def evolved_wigner(state, point, t):
+    """Joint Wigner function of the evolving pair at a point (q1, p1, q2, p2)."""
+    return pair_field(state, t)(*point)
+
+
+def flow(params, t):
+    """The oracle's Hamiltonian flow matrix for these parameters."""
+    return oracles.hamiltonian_flow(params.mass, params.omega, params.gamma, t)
+
+
+def marginal_wigner(state, t, mode, point):
+    """Single-mode marginal at a point (q, p): the oracle's Wigner function of the library's populations."""
+    a_q, a_p = envelope_rates(state.params)
+    probs = mode_populations(state, t, mode)
+    return oracles.marginal_wigner(probs, *point, a_q=a_q, a_p=a_p, hbar=state.params.hbar)
 
 
 def normalization_4d(fn, params, nodes=12):
@@ -61,10 +75,6 @@ class TestParams:
         with pytest.raises(ValueError):
             OscillatorParams(gamma=math.inf)
 
-    def test_phase_point_finite(self):
-        with pytest.raises(ValueError):
-            PhasePoint(0.0, math.nan, 0.0, 0.0)
-
     def test_fock_pair_validation(self):
         with pytest.raises(ValueError):
             FockPairState(-1, 0, DEFAULT)
@@ -78,6 +88,12 @@ class TestEnergy:
 
     def test_first_excited(self):
         assert energy(1, 0, COUPLED) == pytest.approx(2.1, rel=1e-14)
+        # hbar omega (n1 + n2 + 1) + hbar gamma (n1 - n2) at m omega != 1 and hbar != 1, and higher up
+        for mass, omega, hbar, gamma in OFF_UNIT_MODELS:
+            params = OscillatorParams(mass=mass, omega=omega, hbar=hbar, gamma=gamma)
+            for n1, n2 in ((0, 0), (0, 2), (2, 1), (1, 1)):
+                expected = hbar * omega * (n1 + n2 + 1) + hbar * gamma * (n1 - n2)
+                assert energy(n1, n2, params) == pytest.approx(expected, rel=1e-14)
 
     def test_balanced_levels_ignore_coupling(self):
         assert energy(1, 1, COUPLED) == pytest.approx(energy(1, 1, DEFAULT), rel=1e-15)
@@ -88,75 +104,59 @@ class TestEnergy:
 
 
 class TestStationaryWigner:
+    """Pairs that are energy eigenstates: the ground state, and every pair without coupling."""
+
     def test_ground_state_at_origin(self):
-        value = stationary_wigner(0, 0, (0.0, 0.0, 0.0, 0.0), DEFAULT)
+        value = evolved_wigner(FockPairState(0, 0, DEFAULT), (0.0, 0.0, 0.0, 0.0), 0.0)
         assert value == pytest.approx(1.0 / math.pi**2, rel=1e-14)
 
     def test_ground_state_nonnegative(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(scale=2.0, size=(4, 500))
-        assert np.all(stationary_wigner(0, 0, pts, COUPLED) >= 0.0)
+        assert np.all(evolved_wigner(FockPairState(0, 0, COUPLED), pts, 3.7) >= 0.0)
 
     @pytest.mark.parametrize("n1,n2", [(0, 0), (1, 0), (2, 1)])
     def test_normalized(self, n1, n2):
-        total = normalization_4d(
-            lambda *z: stationary_wigner(n1, n2, z, COUPLED), COUPLED
-        )
+        state = FockPairState(n1, n2, DEFAULT)
+        total = normalization_4d(lambda *z: evolved_wigner(state, z, 2.3), DEFAULT)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_stationary_under_flow(self):
-        # eigenstates are constant along classical trajectories
+        # the Wigner function is carried along the classical trajectories: W_t(Phi_t z) = W_0(z),
+        # and with no coupling W_t = W_0
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            pt = PhasePoint(*rng.normal(scale=1.5, size=4))
-            moved = classical_trajectory(pt, 0.83, COUPLED)
-            a = stationary_wigner(1, 2, pt, COUPLED)
-            b = stationary_wigner(1, 2, moved, COUPLED)
-            assert b == pytest.approx(a, rel=1e-10, abs=1e-14)
+        for params in (DEFAULT, COUPLED, OscillatorParams(mass=1.7, omega=0.6, hbar=0.8, gamma=0.3)):
+            state = FockPairState(1, 2, params)
+            moving = flow(params, 0.83)
+            for _ in range(20):
+                pt = rng.normal(scale=1.5, size=4)
+                a = evolved_wigner(state, pt, 0.0)
+                b = evolved_wigner(state, moving @ pt, 0.83)
+                assert b == pytest.approx(a, rel=1e-10, abs=1e-14)
 
 
 class TestClassicalTrajectory:
+    """The oracle's flow matrix, which the propagator tests take as the closed system's reference."""
+
     def test_identity_at_zero(self):
-        pt = PhasePoint(0.3, -1.2, 0.8, 0.05)
-        assert classical_trajectory(pt, 0.0, COUPLED) == pt
+        assert np.array_equal(flow(COUPLED, 0.0), np.eye(4))
 
     def test_quarter_period(self):
-        out = classical_trajectory(PhasePoint(1, 0, 0, 0), math.pi / 2, DEFAULT)
-        assert out.q1 == pytest.approx(0.0, abs=1e-12)
-        assert out.p1 == pytest.approx(-1.0, rel=1e-12)
-        assert out.q2 == pytest.approx(0.0, abs=1e-12)
-        assert out.p2 == pytest.approx(0.0, abs=1e-12)
+        out = flow(DEFAULT, math.pi / 2) @ [1, 0, 0, 0]
+        assert out == pytest.approx([0.0, -1.0, 0.0, 0.0], abs=1e-12)
 
     def test_mode_mixing_rotation(self):
         # omega*t = 2*pi with gamma*t = pi/2 sends mode 1 onto mode 2
-        params = OscillatorParams(gamma=0.25)
-        out = classical_trajectory(PhasePoint(1, 0, 0, 0), 2 * math.pi, params)
-        assert out.q1 == pytest.approx(0.0, abs=1e-12)
-        assert out.q2 == pytest.approx(-1.0, rel=1e-12)
-        assert out.p1 == pytest.approx(0.0, abs=1e-12)
-        assert out.p2 == pytest.approx(0.0, abs=1e-12)
+        out = flow(OscillatorParams(gamma=0.25), 2 * math.pi) @ [1, 0, 0, 0]
+        assert out == pytest.approx([0.0, 0.0, -1.0, 0.0], abs=1e-12)
 
     @pytest.mark.parametrize("params", [DEFAULT, COUPLED, OscillatorParams(mass=1.7, omega=0.6, gamma=0.3)])
     def test_symplectic_jacobian(self, params):
-        # finite-difference Jacobian of the flow map has unit determinant;
-        # one Richardson step scrubs the h^2 truncation of central differences
-        base = PhasePoint(0.4, -0.2, 1.1, 0.7)
-        t = 1.234
-
-        def fd_jacobian(eps):
-            jac = np.zeros((4, 4))
-            for j, name in enumerate(("q1", "p1", "q2", "p2")):
-                plus = dict(q1=base.q1, p1=base.p1, q2=base.q2, p2=base.p2)
-                minus = dict(plus)
-                plus[name] += eps
-                minus[name] -= eps
-                fp = classical_trajectory(PhasePoint(**plus), t, params).as_array()
-                fm = classical_trajectory(PhasePoint(**minus), t, params).as_array()
-                jac[:, j] = (fp - fm) / (2 * eps)
-            return jac
-
-        jac = (4.0 * fd_jacobian(1e-4) - fd_jacobian(2e-4)) / 3.0
-        assert np.linalg.det(jac) == pytest.approx(1.0, abs=1e-10)
+        # the flow preserves the symplectic form J of (q1, p1, q2, p2), so its determinant is 1
+        jac = flow(params, 1.234)
+        form = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+        assert np.max(np.abs(jac @ form @ jac.T - form)) < 1e-14
+        assert np.linalg.det(jac) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEvolvedWigner:

@@ -8,21 +8,14 @@ from wignerosc.fock_dynamics import (
     FockPairState,
     OscillatorParams,
     WignerField,
-    eigenstate_field,
     envelope_rates,
-    evolved_wigner,
-    hamiltonian_symbol,
-    marginal_field,
     mode_populations,
     pair_field,
 )
 from wignerosc import info_measures
-from wignerosc.gaussian_states import GaussianState, thermal_state
 from wignerosc.info_measures import (
     MAX_QUANTA,
     NegativityError,
-    expectation_value,
-    gaussian_field,
     linear_entropy,
     mutual_information,
     negativity,
@@ -34,6 +27,31 @@ UNIT = OscillatorParams(gamma=1.0)  # mixing angle theta equals the time
 OFF_UNIT_MODELS = [(4.0, 1.0, 1.0, 0.0), (1.0, 3.0, 1.0, 0.35), (2.3, 0.7, 0.5, 0.2)]  # (m, omega, hbar, gamma)
 
 
+def marginal(state, theta, mode):
+    """The oracle's single-mode marginal of the library's populations, as a function of (q, p), at m = omega = hbar = 1."""
+    probs = mode_populations(state, theta, mode)
+    return lambda q, p: oracles.marginal_wigner(probs, q, p)
+
+
+def marginal_entropy(state, theta, mode):
+    """1 - purity of the marginal, by the oracle's dense trapezoid grid."""
+    return 1.0 - oracles.dense_grid_purity(marginal(state, theta, mode), extent=8.0, points=801)
+
+
+def expectation_value(field, observable, degree):
+    """integral(W * O) for a polynomial symbol O of the given degree: the normalization of W times O."""
+    def weighted(*z):
+        return field.profile(*z) * observable(*z)
+
+    return normalization(WignerField(weighted, field.rates, field.hbar, field.degree + degree))
+
+
+def hamiltonian_symbol(params):
+    """alpha^2 (p1^2 + p2^2) + beta^2 (q1^2 + q2^2) + gamma (p1 q2 - p2 q1)."""
+    a2, b2, g = params.alpha**2, params.beta**2, params.gamma
+    return lambda q1, p1, q2, p2: a2 * (p1 * p1 + p2 * p2) + b2 * (q1 * q1 + q2 * q2) + g * (p1 * q2 - p2 * q1)
+
+
 class TestLinearEntropy:
     @pytest.mark.parametrize("k,ell,theta", [(1, 0, 0.0), (1, 0, 0.8), (2, 1, 0.4)])
     def test_pure_joint_state(self, k, ell, theta):
@@ -42,24 +60,23 @@ class TestLinearEntropy:
 
     def test_vacuum_marginal(self):
         state = FockPairState(1, 0, UNIT)
-        assert abs(linear_entropy(marginal_field(state, 0.0, 2))) < 1e-9
+        assert abs(marginal_entropy(state, 0.0, 2)) < 1e-9
 
     def test_mixed_marginal_against_dense_grid(self):
-        # half-swapped marginal: mixedness checked against a brute-force
-        # trapezoid purity on a dense grid, then against the enumeration value
+        # half-swapped marginal: each mode's entropy, half the closed-form mutual information,
+        # checked against a brute-force trapezoid purity on a dense grid, then against the enumeration value
         state = FockPairState(1, 0, UNIT)
         theta = math.pi / 4
-        field = marginal_field(state, theta, 1)
-        s = linear_entropy(field)
+        s = 0.5 * mutual_information(state, theta)
         assert 0.0 < s < 1.0
-        brute = 1.0 - oracles.dense_grid_purity(field, extent=8.0, points=801)
-        assert s == pytest.approx(brute, abs=1e-8)
+        assert s == pytest.approx(marginal_entropy(state, theta, 1), abs=1e-8)
         assert s == pytest.approx(oracles.mixed_state_entropy(1, 0, theta), abs=1e-12)
 
     def test_marginal_entropy_curve(self):
+        # the library's populations under the oracle's grid purity, against the enumeration value
         state = FockPairState(2, 1, UNIT)
         for theta in (0.15, 0.6, 1.1):
-            s = linear_entropy(marginal_field(state, theta, 1))
+            s = marginal_entropy(state, theta, 1)
             assert s == pytest.approx(oracles.mixed_state_entropy(2, 1, theta), abs=1e-11)
 
     def test_requires_envelope(self):
@@ -97,21 +114,25 @@ class TestMutualInformation:
             assert mutual_information(state, theta) >= -1e-8
 
     def test_generic_two_mode_field(self):
-        # Gauss-Hermite purities of the three fields against the closed form
+        # purities of the three fields against the closed form: Gauss-Hermite for the joint field,
+        # the oracle's dense grid for the marginals
         for k, ell in ((1, 0), (2, 1)):
             state = FockPairState(k, ell, UNIT)
             for theta in (0.2, 0.5, 1.1):
                 quadrature = (
-                    linear_entropy(marginal_field(state, theta, 1))
-                    + linear_entropy(marginal_field(state, theta, 2))
+                    marginal_entropy(state, theta, 1)
+                    + marginal_entropy(state, theta, 2)
                     - linear_entropy(pair_field(state, theta))
                 )
                 assert mutual_information(state, theta) == pytest.approx(quadrature, abs=1e-12)
 
     def test_rejects_single_mode_field(self):
+        # a single mode's state is its population vector; the information needs the pair
         state = FockPairState(1, 0, UNIT)
         with pytest.raises(TypeError):
-            mutual_information(marginal_field(state, 0.0, 1))
+            mutual_information(mode_populations(state, 0.0, 1))
+        with pytest.raises(TypeError):
+            mutual_information(pair_field(state, 0.0))
 
     def test_capped_at_uniform_populations(self):
         # (1,1) reaches uniform populations where sin^2(2 theta) = 2/3; the
@@ -157,7 +178,7 @@ class TestNegativity:
         for k, ell, theta in ((2, 1, 0.6), (3, 2, 0.15)):
             state = FockPairState(k, ell, UNIT)
             value = negativity(mode_populations(state, theta, 1))
-            brute = oracles.dense_grid_negativity(marginal_field(state, theta, 1), extent=8.0, points=801)
+            brute = oracles.dense_grid_negativity(marginal(state, theta, 1), extent=8.0, points=801)
             assert value == pytest.approx(brute, abs=2e-5)
 
     def test_swap_symmetry(self):
@@ -216,34 +237,37 @@ class TestNegativity:
 
 
 class TestExpectationValue:
+    """Phase-space averages over the pair's field, each the normalization of W times a polynomial symbol."""
+
     def test_unit_observable(self):
         state = FockPairState(2, 1, UNIT)
         field = pair_field(state, 0.4)
-        assert expectation_value(field, lambda q1, p1, q2, p2: np.ones_like(q1)) == pytest.approx(
+        assert expectation_value(field, lambda q1, p1, q2, p2: np.ones_like(q1), 0) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_energy_of_eigenstate(self):
-        params = OscillatorParams(gamma=0.1)
-        field = eigenstate_field(1, 0, params)
-        value = expectation_value(field, hamiltonian_symbol(params))
-        assert value == pytest.approx(2.1, abs=1e-12)
+        # without coupling the pair (1, 0) is an eigenstate at every time
+        params = OscillatorParams()
+        field = pair_field(FockPairState(1, 0, params), 0.9)
+        value = expectation_value(field, hamiltonian_symbol(params), 2)
+        assert value == pytest.approx(2.0, abs=1e-12)
 
     def test_eigenstate_energy_sweep(self):
-        from wignerosc.fock_dynamics import energy
-
-        # m omega != 1 checks the envelope rates' orientation: a_q = m omega / hbar, a_p = 1 / (m omega hbar)
+        # <H> = hbar omega (k + l + 1) for every pair at every time: a product of number states has
+        # <p1 q2 - p2 q1> = 0, and <H> is conserved; m omega != 1 checks the envelope rates' orientation,
+        # a_q = m omega / hbar and a_p = 1 / (m omega hbar)
         for mass, omega, hbar, gamma in ((1.0, 1.0, 1.0, 0.35), *OFF_UNIT_MODELS):
             params = OscillatorParams(mass=mass, omega=omega, hbar=hbar, gamma=gamma)
-            for n1, n2 in ((0, 0), (0, 2), (2, 1)):
-                field = eigenstate_field(n1, n2, params)
-                value = expectation_value(field, hamiltonian_symbol(params))
-                assert value == pytest.approx(energy(n1, n2, params), rel=1e-12)
+            for k, ell in ((0, 0), (0, 2), (2, 1)):
+                field = pair_field(FockPairState(k, ell, params), 1.3)
+                value = expectation_value(field, hamiltonian_symbol(params), 2)
+                assert value == pytest.approx(hbar * omega * (k + ell + 1), rel=1e-12)
 
     def test_odd_observable_vanishes(self):
         state = FockPairState(1, 0, UNIT)
         field = pair_field(state, 0.9)
-        assert abs(expectation_value(field, lambda q1, p1, q2, p2: q1)) < 1e-12
+        assert abs(expectation_value(field, lambda q1, p1, q2, p2: q1, 1)) < 1e-12
 
 
 class TestFieldConstruction:
@@ -251,13 +275,9 @@ class TestFieldConstruction:
         state = FockPairState(2, 1, UNIT)
         assert normalization(pair_field(state, 0.7)) == pytest.approx(1.0, abs=1e-10)
 
-    def test_marginal_field_normalized(self):
-        state = FockPairState(2, 1, UNIT)
-        assert normalization(marginal_field(state, 0.7, 2)) == pytest.approx(1.0, abs=1e-10)
-
     def test_marginal_field_matches_direct_evaluation(self):
-        # Gauss-Hermite integral of the joint Wigner function over mode 2;
-        # its integrand is the envelope times a polynomial of degree
+        # Gauss-Hermite integral of the joint Wigner function over mode 2 against the oracle's marginal
+        # of the library's populations; the integrand is the envelope times a polynomial of degree
         # 2(k + l), which k + l + 1 nodes per axis integrate exactly
         rng = np.random.default_rng(23)
         params = OscillatorParams(mass=1.3, omega=0.8, hbar=0.9, gamma=1.0)
@@ -269,40 +289,24 @@ class TestFieldConstruction:
             p2 = rule.nodes[None, :] / math.sqrt(a_p)
             weights = np.outer(rule.weights, rule.weights) * np.exp(a_q * q2 * q2 + a_p * p2 * p2)
             for theta in (0.0, 0.37, 1.2):
-                field = marginal_field(state, theta, 1)
+                probs = mode_populations(state, theta, 1)
                 q, p = rng.normal(scale=1.6, size=(2, 50))
-                joint = evolved_wigner(state, (q[:, None, None], p[:, None, None], q2, p2), theta)
+                joint = pair_field(state, theta)(q[:, None, None], p[:, None, None], q2, p2)
                 direct = params.hbar * np.sum(weights * joint, axis=(1, 2))
                 scale = np.max(np.abs(direct)) + 1e-300
-                assert np.max(np.abs(field(q, p) - direct)) / scale < 1e-11
-
-    def test_gaussian_field_matches_state(self):
-        state = thermal_state(1.5)
-        field = gaussian_field(state)
-        rng = np.random.default_rng(29)
-        q, p = rng.normal(scale=2.0, size=(2, 20))
-        from wignerosc.gaussian_states import gaussian_wigner
-
-        assert np.allclose(field(q, p), gaussian_wigner(state, q, p), rtol=1e-13)
-        assert normalization(field) == pytest.approx(1.0, abs=1e-10)
+                marginal_values = oracles.marginal_wigner(probs, q, p, a_q=a_q, a_p=a_p, hbar=params.hbar)
+                assert np.max(np.abs(marginal_values - direct)) / scale < 1e-11
 
     def test_field_validation(self):
-        for rates in ((1.0,), (1.0, 1.0, 1.0), (1.0, 1.0) * 3, (1.0, 0.0), (1.0, -2.0, 1.0, 1.0), (1.0, math.nan)):
+        for rates in ((1.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0) * 3, (1.0, 0.0, 1.0, 1.0), (1.0, -2.0, 1.0, 1.0),
+                      (1.0, math.nan, 1.0, 1.0)):
             with pytest.raises(ValueError):
-                WignerField(lambda q, p: q, rates, 1.0)
+                WignerField(lambda *z: z[0], rates, 1.0, 1)
         with pytest.raises(ValueError):
-            WignerField(lambda q, p: q, (1.0, 1.0), 0.0)
-        assert WignerField(lambda q, p: q, (1.0, 2.0), 1.0).mode_count == 1
-        assert WignerField(lambda *z: z[0], (1.0, 2.0, 1.0, 2.0), 1.0).mode_count == 2
+            WignerField(lambda *z: z[0], (1.0, 2.0, 1.0, 2.0), 0.0, 1)
+        assert WignerField(lambda *z: z[0], (1.0, 2.0, 1.0, 2.0), 1.0, 1).rates == (1.0, 2.0, 1.0, 2.0)
 
     def test_wrong_coordinate_count(self):
         state = FockPairState(1, 0, UNIT)
-        with pytest.raises(ValueError, match="expected 2 coordinates, got 4"):
-            marginal_field(state, 0.0, 1)(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="expected 4 coordinates, got 2"):
             pair_field(state, 0.0)(0.0, 0.0)
-
-    def test_gaussian_field_needs_diagonal_covariance(self):
-        state = GaussianState(np.zeros(2), np.array([[2.0, 0.5], [0.5, 2.0]]))
-        with pytest.raises(ValueError, match="gaussian_wigner"):
-            gaussian_field(state)
