@@ -8,12 +8,7 @@ standard experiment data sets.
 
 __version__ = "0.1.0"
 
-from .quadrature import (
-    QuadratureRule,
-    gauss_hermite,
-    laguerre,
-    laguerre_table,
-)
+from .quadrature import laguerre, laguerre_table
 from .fock_dynamics import (
     FockPairState,
     OscillatorParams,

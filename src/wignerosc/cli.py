@@ -35,7 +35,6 @@ from .gaussian_states import (
     coherence,
     fidelity,
     state_to_record,
-    thermal_state,
 )
 from .info_measures import MAX_QUANTA, NegativityError, mutual_information, negativity
 from .open_dynamics import backflow_intervals, evolve_coupled, rising_intervals
@@ -255,9 +254,17 @@ def _vector(text: str) -> np.ndarray:
     return np.array([float(part) for part in text.split(",")])
 
 
+def _variance(cfg: dict[str, str], key: str) -> float:
+    """Vacuum-unit variance 2 nbar + 1 of the occupation under key; past the floats an OverflowError names key."""
+    variance = 2.0 * float(cfg[key]) + 1.0
+    if variance == math.inf:
+        raise OverflowError(f"the variance 2 nbar + 1 leaves the floats ({key} = {cfg[key]})")
+    return variance
+
+
 def _fig3_initial_state(cfg: dict[str, str]) -> GaussianState:
     """Displacement and each mode's isotropic covariance, in vacuum units."""
-    nbar = float(cfg["physics.nbar"])
+    variance = _variance(cfg, "physics.nbar")
     d = _vector(cfg["physics.displacement"])
     quanta = [v * v for v in d.tolist()]  # floats: past the range is inf
     adjusted = cfg["physics.initial_covariance"] == "adjusted"
@@ -265,7 +272,7 @@ def _fig3_initial_state(cfg: dict[str, str]) -> GaussianState:
     for mode in (0, 1):
         sl = slice(2 * mode, 2 * mode + 2)
         # adjusted: sized so the displaced mode carries nbar quanta
-        a = (4 * nbar + 2 - sum(quanta[sl])) / 2.0 if adjusted else 2 * nbar + 1
+        a = variance - sum(quanta[sl]) / 2.0 if adjusted else variance
         if a < 1.0:
             raise ConfigError(
                 "physics.nbar too small for the requested displacement; use physics.initial_covariance=thermal"
@@ -376,7 +383,7 @@ def _query_value(quantity: str, cfg: dict[str, str]) -> float:
         return _negativity(probs, k + ell)
     # thermal states displaced to d, or d1 and d2 for the fidelity, in vacuum units
     tags = ("1", "2") if quantity == "fidelity" else ("",)
-    states = [GaussianState(_vector(cfg["d" + tag]), thermal_state(float(cfg["nbar" + tag])).cov) for tag in tags]
+    states = [GaussianState(_vector(cfg["d" + tag]), _variance(cfg, "nbar" + tag) * np.eye(2)) for tag in tags]
     return fidelity(*states) if quantity == "fidelity" else coherence(*states)
 
 
@@ -388,8 +395,8 @@ def run_query(quantity: str, params: dict[str, str]) -> str:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             value = _query_value(quantity, cfg)
-        except OverflowError:  # an integer too large for a float
-            value = math.inf
+        except OverflowError as exc:  # an integer too large for a float, or a variance past the floats
+            raise NumericFailure(f"{quantity} is not finite at these inputs: {exc}") from None
     if not math.isfinite(value):
         raise NumericFailure(f"{quantity} is not finite ({value}) at these inputs")
     return f"{value:.12g}" + (" bits" if quantity == "coherence" else "")

@@ -169,7 +169,7 @@ def fidelity(state1: GaussianState, state2: GaussianState) -> float:
     """Overlap of two single-mode Gaussian states, in [0, 1]; see :func:`moment_fidelity`."""
     if state1.modes != 1 or state2.modes != 1:
         raise ValueError("fidelity is implemented for single-mode states")
-    if abs(state1.hbar - state2.hbar) > 1e-12:
+    if not math.isclose(state1.hbar, state2.hbar, rel_tol=1e-12):
         raise ValueError("states must share hbar")
     h, root = state1.hbar, math.sqrt(state1.hbar)
     return float(moment_fidelity(state1.mean / root, state1.cov / h, state2.mean / root, state2.cov / h))

@@ -6,7 +6,8 @@ negativity delta = integral(|W|) - integral(W).
 
 The integrals take the two-mode :class:`~wignerosc.fock_dynamics.WignerField`
 of the pair, W = profile * exp(-sum_i a_i z_i^2) with a polynomial profile,
-and evaluate exactly by Gauss-Hermite rules.  For the number-state pair the
+and evaluate exactly by Gauss-Hermite rules from numpy's ``hermgauss``,
+imported only when a field is integrated.  For the number-state pair the
 mutual information and the negativity need no integration at all: both
 follow in closed form from the single-mode populations.
 """
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from .fock_dynamics import FockPairState, WignerField, mode_populations
-from .quadrature import QuadratureRule, gauss_hermite, laguerre_table
+from .quadrature import laguerre_table
 
 __all__ = [
     "MAX_QUANTA",
@@ -30,19 +31,24 @@ __all__ = [
 ]
 
 
-def _auto_rule(field: WignerField, squared: bool) -> QuadratureRule:
-    """Gauss-Hermite rule exact for the field's profile, or for its square when squared."""
-    needed = field.degree + 1 if squared else field.degree // 2 + 1
-    return gauss_hermite(max(8, needed))
+def _envelope_points(field: WignerField, squared: bool):
+    """Gauss-Hermite points exact for the field's profile, or for its square when squared.
 
+    Returns the points z_i = x_i / sqrt(scale * a_i) per axis, scale 2 for
+    the square's envelope, with the combined weight array and the Jacobian
+    of the substitution.  A rule of more than 128 nodes, whose 4-d grid
+    passes 2 GiB per array, is a ValueError.
+    """
+    # imported here: numpy.polynomial adds ~25 ms to every start-up of the command line, which never integrates
+    from numpy.polynomial.hermite import hermgauss
 
-def _envelope_points(field: WignerField, rule: QuadratureRule, scale: float):
-    """Quadrature points z_i = x_i / sqrt(scale * a_i) per axis, with the
-    combined weight array and the Jacobian of the substitution."""
+    nodes = max(8, field.degree + 1 if squared else field.degree // 2 + 1)
+    if nodes > 128:
+        raise ValueError(f"a field of degree {field.degree} needs {nodes} Gauss-Hermite nodes, more than 128")
+    x, weight = hermgauss(nodes)
+    scale = 2.0 if squared else 1.0
     rates = field.rates
-    axes = [rule.nodes / math.sqrt(scale * a) for a in rates]
-    grids = np.meshgrid(*axes, indexing="ij")
-    weight = rule.weights
+    grids = np.meshgrid(*[x / math.sqrt(scale * a) for a in rates], indexing="ij")
     combo = weight
     for _ in range(len(rates) - 1):
         combo = np.multiply.outer(combo, weight)
@@ -56,7 +62,7 @@ def linear_entropy(field: WignerField) -> float:
     Zero for pure states; results within 1e-9 of the [0, 1] bounds are
     clamped onto them.
     """
-    grids, combo, jacobian = _envelope_points(field, _auto_rule(field, squared=True), scale=2.0)
+    grids, combo, jacobian = _envelope_points(field, squared=True)
     vals = field.profile(*grids)
     purity = (2 * math.pi * field.hbar) ** 2 * jacobian * float(np.sum(combo * vals * vals))
     s = 1.0 - purity
@@ -69,7 +75,7 @@ def linear_entropy(field: WignerField) -> float:
 
 def normalization(field: WignerField) -> float:
     """integral(W) over the field's phase space (1 for a valid state)."""
-    grids, combo, jacobian = _envelope_points(field, _auto_rule(field, squared=False), scale=1.0)
+    grids, combo, jacobian = _envelope_points(field, squared=False)
     vals = field.profile(*grids)
     return jacobian * float(np.sum(combo * vals))
 

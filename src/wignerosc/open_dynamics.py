@@ -135,7 +135,7 @@ def evolve_coupled(
         raise ValueError("t_grid must be one-dimensional, start at 0 and increase strictly")
     if initial.modes != 2:
         raise ValueError("initial state must have two modes")
-    if abs(initial.hbar - params.hbar) > 1e-12:
+    if not math.isclose(initial.hbar, params.hbar, rel_tol=1e-12):
         raise ValueError("initial state and oscillator parameters disagree on hbar")
     asymptote = 2.0 * bath.mean_occupation + 1.0
     if not math.isfinite(asymptote):

@@ -97,13 +97,17 @@ class TestQuery:
         (["coherence", "nbar=0", "d=1e-154,0"], 0, "2.56649137067e-306 bits\n"),  # 1 / (|d|^2 / 4) overflows
         (["fidelity", "d1=1e200,0"], 0, "0\n"),  # the overlap underflows to its true value
         (["eigen", f"k={10**400}"], 3, ""),  # an integer too large for a float
-    ], ids=["eigen", "coherence", "coherence_tiny_d", "fidelity", "eigen_huge_k"])
+        (["coherence", "nbar=1e308"], 3, ""),  # the variance 2 nbar + 1 overflows
+        (["fidelity", "nbar2=1e308"], 3, ""),
+    ], ids=["eigen", "coherence", "coherence_tiny_d", "fidelity", "eigen_huge_k", "coherence_nbar", "fidelity_nbar"])
     def test_non_finite_results_exit_3(self, params, code, printed, capsys):
         assert main(["query", *params]) == code
         out, err = capsys.readouterr()
         assert out == printed
         if code == 3:
             assert err.startswith(f"numeric failure: {params[0]} is not finite ") and err.count("\n") == 1
+            for key in ("nbar", "nbar2"):  # an occupation out of range is named with its value
+                assert (f"({key} = 1e+308)" in err) == (f"{key}=1e308" in params)
         else:
             assert err == ""
 
@@ -383,6 +387,7 @@ class TestFig3Command:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value,at_time", [
         ("physics.mbar=1e308", False),  # infinite asymptotic variance 2 mbar + 1
+        ("physics.nbar=1e308", False),  # infinite initial variance 2 nbar + 1
         ("physics.gamma=1.7e308", True),  # the exchange phase kappa t passes the float range
         ("physics.nbar=1e200", True),  # det sigma_1 passes it: fidelity and coherence are nan
     ])
@@ -607,13 +612,14 @@ def test_readme_library_example_runs():
 
 
 def test_cli_import_pulls_in_no_scipy_or_mpmath():
-    # the command line stays numpy-only, so neither enters its start-up cost
+    # the command line stays numpy-only, so neither enters its start-up cost; nor does numpy.polynomial,
+    # which only the phase-space integrals need
     import wignerosc
 
     src = str(Path(wignerosc.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import wignerosc.cli; "
-        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy', 'mpmath', 'numpy.polynomial') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -144,6 +144,11 @@ class TestFidelity:
     def test_same_hbar_required(self):
         with pytest.raises(ValueError):
             fidelity(thermal_state(0.0, hbar=1.0), thermal_state(0.0, hbar=2.0))
+        # compared relatively: at SI scale, hbar values a factor 2 apart differ by less than 1e-12
+        with pytest.raises(ValueError, match="share hbar"):
+            fidelity(thermal_state(0.0, hbar=1e-34), thermal_state(0.0, hbar=2e-34))
+        rounded = fidelity(thermal_state(0.0, hbar=1e-34), thermal_state(0.0, hbar=1e-34 * (1 + 1e-15)))
+        assert rounded == pytest.approx(1.0, rel=1e-12)
 
     def test_hbar_invariance(self):
         # the same physical pair expressed in different units

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 import oracles
 from wignerosc.fock_dynamics import (
@@ -21,7 +22,6 @@ from wignerosc.info_measures import (
     negativity,
     normalization,
 )
-from wignerosc.quadrature import gauss_hermite
 
 UNIT = OscillatorParams(gamma=1.0)  # mixing angle theta equals the time
 OFF_UNIT_MODELS = [(4.0, 1.0, 1.0, 0.0), (1.0, 3.0, 1.0, 0.35), (2.3, 0.7, 0.5, 0.2)]  # (m, omega, hbar, gamma)
@@ -284,10 +284,10 @@ class TestFieldConstruction:
         a_q, a_p = envelope_rates(params)
         for (k, ell) in ((1, 0), (2, 1), (3, 3)):
             state = FockPairState(k, ell, params)
-            rule = gauss_hermite(k + ell + 2)
-            q2 = rule.nodes[:, None] / math.sqrt(a_q)
-            p2 = rule.nodes[None, :] / math.sqrt(a_p)
-            weights = np.outer(rule.weights, rule.weights) * np.exp(a_q * q2 * q2 + a_p * p2 * p2)
+            x, w = roots_hermite(k + ell + 2)
+            q2 = x[:, None] / math.sqrt(a_q)
+            p2 = x[None, :] / math.sqrt(a_p)
+            weights = np.outer(w, w) * np.exp(a_q * q2 * q2 + a_p * p2 * p2)
             for theta in (0.0, 0.37, 1.2):
                 probs = mode_populations(state, theta, 1)
                 q, p = rng.normal(scale=1.6, size=(2, 50))

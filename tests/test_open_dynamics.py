@@ -164,6 +164,15 @@ class TestOutOfRange:
 
 
 class TestEvolveCoupled:
+    def test_hbar_compared_relatively(self):
+        # an SI-scale state and parameters whose hbar differ by a factor 3 disagree; a 1e-15 rounding agrees
+        initial = GaussianState(np.zeros(4), 1e-34 * np.eye(4), 1e-34)
+        times = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(ValueError, match="disagree on hbar"):
+            evolve_coupled(initial, OscillatorParams(hbar=3e-34, gamma=0.1), BATH, times)
+        record = evolve_coupled(initial, OscillatorParams(hbar=1e-34 * (1 + 1e-15), gamma=0.1), BATH, times)
+        assert record.times.size == 3
+
     def test_uncoupled_matches_closed_form_entrywise(self):
         initial = figure_initial(displacement=(0.0, 0.0, 0.0, 0.0))
         times = np.linspace(0.0, 6.0 / BATH.decay_rate, 121)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import PhaseSpaceGrid, integrate_grid
-from wignerosc.quadrature import QuadratureRule, gauss_hermite, laguerre, laguerre_table
+from wignerosc.fock_dynamics import FockPairState, OscillatorParams, WignerField, pair_field
+from wignerosc.info_measures import linear_entropy, normalization
+from wignerosc.quadrature import laguerre, laguerre_table
 
 
 class TestLaguerre:
@@ -46,50 +48,39 @@ class TestLaguerre:
             assert np.array_equal(table[n], laguerre(n, x))
 
 
+RATES = (0.7, 1.3, 2.0, 0.45)
+
+
+def absolute_moment(power, a):
+    """integral |x|^power exp(-a x^2) dx over the real line."""
+    return math.gamma((power + 1) / 2) / a ** ((power + 1) / 2)
+
+
 class TestGaussHermite:
-    def test_single_node(self):
-        rule = gauss_hermite(1)
-        assert rule.nodes[0] == 0.0
-        assert rule.weights[0] == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-
-    def test_two_nodes(self):
-        rule = gauss_hermite(2)
-        assert rule.nodes == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)], abs=1e-14)
-        assert rule.weights == pytest.approx([math.sqrt(math.pi) / 2] * 2, rel=1e-14)
-
-    def test_weight_sum(self):
-        for n in (1, 2, 5, 16, 64, 128):
-            rule = gauss_hermite(n)
-            assert abs(np.sum(rule.weights) - math.sqrt(math.pi)) < 1e-12
+    """The library's Gauss-Hermite integrals: exact for every profile up to the field's degree."""
 
     @pytest.mark.parametrize("n", [2, 5, 8, 20, 40])
     def test_moment_exactness(self, n):
-        # exact for x^d, d <= 2n-1: even moments are gamma((d+1)/2)
-        rule = gauss_hermite(n)
-        for degree in range(0, 2 * n, 2):
-            exact = math.gamma((degree + 1) / 2.0)
-            quad = float(np.sum(rule.weights * rule.nodes**degree))
-            assert abs(quad - exact) < 1e-10 * abs(exact)
-        for degree in range(1, 2 * n, 2):
-            odd_scale = math.gamma((degree + 2) / 2.0)
-            assert abs(np.sum(rule.weights * rule.nodes**degree)) < 1e-10 * odd_scale
-
-    def test_quartic_moment(self):
-        rule = gauss_hermite(5)
-        quad = float(np.sum(rule.weights * rule.nodes**4))
-        assert abs(quad - 0.75 * math.sqrt(math.pi)) < 1e-12
+        # W = z_i^j exp(-sum a_i z_i^2) declared of degree n, for every j <= n, on each axis in turn:
+        # its integral and the integral of its square, which the purity takes, are Gaussian moments
+        for power in range(n + 1):
+            axis = power % 4
+            field = WignerField(lambda *z: z[axis] ** power, RATES, 1.0, n)
+            others = [a for i, a in enumerate(RATES) if i != axis]
+            scale = absolute_moment(power, RATES[axis]) * math.prod(math.sqrt(math.pi / a) for a in others)
+            exact = scale if power % 2 == 0 else 0.0
+            assert abs(normalization(field) - exact) < 1e-10 * scale
+            square = absolute_moment(2 * power, 2 * RATES[axis]) * math.prod(
+                math.sqrt(math.pi / (2 * a)) for a in others
+            )
+            purity = (2 * math.pi) ** 2 * square
+            assert 1.0 - linear_entropy(field) == pytest.approx(purity, rel=1e-10)
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            gauss_hermite(0)
-        with pytest.raises(ValueError):
-            gauss_hermite(129)
-
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            QuadratureRule(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+        # |64> x |0> has degree 128: the square needs 129 nodes, past the 128 whose 4-d grid fills 2 GiB
+        field = pair_field(FockPairState(64, 0, OscillatorParams()))
+        with pytest.raises(ValueError, match="needs 129 Gauss-Hermite nodes"):
+            linear_entropy(field)
 
 
 class TestPhaseSpaceGrid:
