@@ -16,7 +16,6 @@ from .fock_dynamics import (
     energy,
     mode_populations,
     pair_field,
-    vacuum_scale,
 )
 from .gaussian_states import (
     GaussianState,

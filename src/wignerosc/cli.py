@@ -117,7 +117,7 @@ KEYS = {
         ),
         "numeric.t_max": (_POSITIVE, "6"),
         "numeric.t_step": (_POSITIVE, "0.005"),
-        "numeric.backflow_tol": (_REAL, "1e-09"),
+        "numeric.backflow_tol": (_NONNEGATIVE, "1e-09"),
     },
     "eigen": {
         "k": (_COUNT, "1"),
@@ -255,10 +255,10 @@ def _vector(text: str) -> np.ndarray:
 
 
 def _variance(cfg: dict[str, str], key: str) -> float:
-    """Vacuum-unit variance 2 nbar + 1 of the occupation under key; past the floats an OverflowError names key."""
+    """Vacuum-unit variance 2 n + 1 of the occupation n under key; past the floats an OverflowError names key."""
     variance = 2.0 * float(cfg[key]) + 1.0
     if variance == math.inf:
-        raise OverflowError(f"the variance 2 nbar + 1 leaves the floats ({key} = {cfg[key]})")
+        raise OverflowError(f"the variance 2 {key.rpartition('.')[2]} + 1 leaves the floats ({key} = {cfg[key]})")
     return variance
 
 
@@ -281,10 +281,6 @@ def _fig3_initial_state(cfg: dict[str, str]) -> GaussianState:
     return GaussianState(d, cov)
 
 
-# ThermalBath fields by the fig3 keys that set them
-_FIG3_KEYS = {"mean_occupation": "physics.mbar"}
-
-
 def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
     """Propagate one coupled dissipative run and tabulate the witnesses."""
     rate, t_max = float(cfg["physics.decay_rate"]), float(cfg["numeric.t_max"])
@@ -294,15 +290,13 @@ def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
     bath = ThermalBath(rate, float(cfg["physics.mbar"]))
     scaled = _axis(0.0, t_max, float(cfg["numeric.t_step"]), "numeric.t_step")  # dimensionless Gamma*t
     try:
+        _variance(cfg, "physics.mbar")  # the asymptote's variance, named by its key
         initial = _fig3_initial_state(cfg)
         record = evolve_coupled(initial, OscillatorParams(gamma=gamma), bath, scaled / rate)
     except (ArithmeticError, ValueError) as exc:  # the propagation or its trajectory checks
         reason = str(exc)
         if hasattr(exc, "index"):  # name the failing sample by its Gamma*t, as in the t column
             reason = f"{reason.partition(' at t = ')[0]} at t = {scaled[exc.index]:.6g}"
-        if getattr(exc, "parameters", ()):  # name the keys that set the quantity out of range
-            keys = [_FIG3_KEYS[name] for name in exc.parameters]
-            reason += " (" + ", ".join(f"{key} = {cfg[key]}" for key in keys) + ")"
         raise NumericFailure(f"propagation at gamma = {gamma!r} failed: {reason}") from exc
     tol = float(cfg["numeric.backflow_tol"])
     backflow = [(a * rate, b * rate) for a, b in backflow_intervals(record.times, record.fidelity_track, tol)]

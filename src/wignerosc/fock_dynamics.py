@@ -1,14 +1,14 @@
 """Closed-form Wigner dynamics of two oscillators with a rotational coupling.
 
 The system is a pair of identical harmonic oscillators coupled through the
-angular-momentum-like term gamma*(p1*q2 - p2*q1),
+angular-momentum-like term gamma*(p1*q2 - p2*q1).  In vacuum units,
 
-    H = alpha^2 (p1^2 + p2^2) + beta^2 (q1^2 + q2^2) + gamma (p1 q2 - p2 q1),
+    H = (hbar omega / 2) (q1^2 + p1^2 + q2^2 + p2^2) + hbar gamma (p1 q2 - p2 q1),
 
-with alpha^2 = 1/(2m) and beta^2 = m omega^2 / 2.  The coupling commutes
-with the total excitation number, so everything stays exactly solvable:
+so hbar and omega enter only the energies.  The coupling commutes with
+the total excitation number, so everything stays exactly solvable:
 
-* Energies split the normal modes by +-gamma around the uncoupled ladder.
+* Energies split the normal modes by +-hbar*gamma around the uncoupled ladder.
 * Hamilton's flow factorizes into an intra-mode rotation at omega and a
   rotation mixing the two mode planes at gamma.
 * A product of number states |k> x |l> evolves by evaluating the t=0
@@ -41,55 +41,25 @@ __all__ = [
     "OscillatorParams",
     "WignerField",
     "energy",
-    "envelope_rates",
     "mode_populations",
     "pair_field",
-    "vacuum_scale",
 ]
 
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Masses, frequencies and couplings defining the two-mode Hamiltonian."""
+    """Frequency, reduced Planck constant and coupling of the two-mode Hamiltonian."""
 
-    mass: float = 1.0
     omega: float = 1.0
     hbar: float = 1.0
     gamma: float = 0.0
 
     def __post_init__(self):
-        for name in ("mass", "omega", "hbar"):
-            value = getattr(self, name)
+        for name, value in (("omega", self.omega), ("hbar", self.hbar)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 / math.sqrt(2.0 * self.mass)
-
-    @property
-    def beta(self) -> float:
-        return math.sqrt(self.mass) * self.omega / math.sqrt(2.0)
-
-
-def _out_of_range(quantity: str, *parameters: str) -> OverflowError:
-    """OverflowError naming the quantity and, as ``parameters``, the fields that set it."""
-    exc = OverflowError(f"{quantity} leaves the floats")
-    exc.parameters = parameters
-    return exc
-
-
-def vacuum_scale(params: OscillatorParams) -> np.ndarray:
-    """Physical (q1, p1, q2, p2) of one vacuum unit, sqrt(hbar / (m omega)) and sqrt(hbar m omega).
-
-    The one definition of the unit: envelope rates, flow and fig3 quadratures derive from it."""
-    root, unit = math.sqrt(params.mass) * math.sqrt(params.omega), math.sqrt(params.hbar)
-    q, p = unit / root, unit * root
-    if not (0.0 < min(q, p) and max(q, p) < math.inf):
-        raise _out_of_range("the vacuum scale sqrt(hbar m omega)", "mass", "omega", "hbar")
-    return np.array([q, p, q, p])
 
 
 @dataclass(frozen=True)
@@ -113,47 +83,31 @@ class FockPairState:
 
 @dataclass(frozen=True)
 class WignerField:
-    """W(z) = exp(-sum_i rates[i] z_i^2) * profile(*z) at z = (q1, p1, q2, p2).
+    """W(z) = exp(-|z|^2) * profile(*z) at z = (q1, p1, q2, p2) in vacuum units.
 
-    rates holds one positive envelope rate per coordinate.  The profile is
-    a polynomial of degree at most degree, safe to evaluate far outside the
-    envelope; degree sizes the quadrature rules that integrate it exactly.
+    The profile is a polynomial of degree at most degree, safe to evaluate far
+    outside the envelope; degree sizes the quadrature rules exact for it.
     """
 
     profile: Callable
-    rates: tuple[float, float, float, float]
-    hbar: float
     degree: int
 
     def __post_init__(self):
-        rates = tuple(float(r) for r in self.rates)
-        if len(rates) != 4 or not all(r > 0 for r in rates):
-            raise ValueError("rates must be 4 positive reals")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
-        object.__setattr__(self, "rates", rates)
+        if int(self.degree) != self.degree or self.degree < 0:
+            raise ValueError(f"degree must be a nonnegative integer, got {self.degree}")
 
     def __call__(self, *z):
         if len(z) != 4:
             raise ValueError(f"expected 4 coordinates, got {len(z)}")
         z = [np.asarray(c, dtype=float) for c in z]
-        return np.exp(-sum(a * c * c for a, c in zip(self.rates, z))) * self.profile(*z)
-
-
-def envelope_rates(params: OscillatorParams) -> tuple[float, float]:
-    """Per-mode Gaussian rates (a_q, a_p) = (m omega / hbar, 1 / (m omega hbar)), one over the squared
-    vacuum units: W ~ exp(-a_q q^2 - a_p p^2).  As a_q * a_p = 1/hbar^2, the per-mode change of
-    variables to unit-rate coordinates carries the Jacobian hbar.
-    """
-    return tuple((1.0 / vacuum_scale(params)[:2] ** 2).tolist())
+        return np.exp(-sum(c * c for c in z)) * self.profile(*z)
 
 
 def energy(n1: int, n2: int, params: OscillatorParams) -> float:
-    """Energy eigenvalue 2*hbar*alpha*beta*(n1+n2+1) + hbar*gamma*(n1-n2)."""
+    """Energy eigenvalue hbar*omega*(n1+n2+1) + hbar*gamma*(n1-n2)."""
     if n1 < 0 or n2 < 0:
         raise ValueError("quantum numbers must be nonnegative")
-    hw = 2.0 * params.hbar * params.alpha * params.beta
-    return hw * (n1 + n2 + 1) + params.hbar * params.gamma * (n1 - n2)
+    return params.hbar * params.omega * (n1 + n2 + 1) + params.hbar * params.gamma * (n1 - n2)
 
 
 def pair_field(state: FockPairState, t: float = 0.0) -> WignerField:
@@ -165,19 +119,15 @@ def pair_field(state: FockPairState, t: float = 0.0) -> WignerField:
     """
     if not math.isfinite(t):
         raise ValueError("time must be finite")
-    params = state.params
-    rates = 2 * envelope_rates(params)  # (a_q, a_p, a_q, a_p)
-    roots = [math.sqrt(a) for a in rates]  # to unit-rate coordinates, where the envelope is exp(-r^2)
-    norm = (-1.0 if (state.k + state.ell) % 2 else 1.0) / (math.pi**2 * params.hbar**2)
-    c, s = math.cos(params.gamma * t), math.sin(params.gamma * t)
+    norm = (-1.0 if (state.k + state.ell) % 2 else 1.0) / math.pi**2
+    c, s = math.cos(state.params.gamma * t), math.sin(state.params.gamma * t)
 
-    def profile(*z):
-        x1, y1, x2, y2 = [root * coord for root, coord in zip(roots, z)]
+    def profile(x1, y1, x2, y2):
         rho1 = (c * x1 - s * x2) ** 2 + (c * y1 - s * y2) ** 2
         rho2 = (s * x1 + c * x2) ** 2 + (s * y1 + c * y2) ** 2
         return norm * laguerre(state.k, 2 * rho1) * laguerre(state.ell, 2 * rho2)
 
-    return WignerField(profile, rates, params.hbar, 2 * (state.k + state.ell))
+    return WignerField(profile, 2 * (state.k + state.ell))
 
 
 def mode_populations(state: FockPairState, t, mode: int = 1) -> np.ndarray:

@@ -1,10 +1,8 @@
 """Gaussian states as first moments plus covariance matrix.
 
-Conventions: the covariance is sigma_AB = <AB + BA> - 2<A><B>, so the
-vacuum has sigma = hbar * identity and a pure single-mode state has
-nu = sqrt(det sigma) = hbar.  The closed-form fidelity and coherence
-below are written for hbar = 1 units and applied to sigma/hbar, which
-keeps them valid for any hbar.
+Conventions: moments are in vacuum units and sigma_AB = <AB + BA> - 2<A><B>,
+so the vacuum has sigma = identity, and every physical single-mode state has
+nu = sqrt(det sigma) >= 1, with equality for pure states.
 """
 
 from __future__ import annotations
@@ -41,18 +39,15 @@ class GaussianState:
 
     mean: np.ndarray
     cov: np.ndarray
-    hbar: float = 1.0
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.asarray(self.cov, dtype=float)
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
         if mean.ndim != 1 or mean.size not in (2, 4):
             raise ValueError("mean must have length 2 or 4")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"covariance shape {cov.shape} does not match mean length {mean.size}")
-        cov = validate_moments(mean[None], cov[None], self.hbar)[0]
+        cov = validate_moments(mean[None], cov[None])[0]
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -88,6 +83,12 @@ def _nu(blocks):
     return np.sqrt(np.maximum(_det2(blocks), 0.0))
 
 
+def _power_scale(blocks):
+    """1 for 2x2 blocks with trace below 2^256, else the even power of two, exact to scale by, to [2^254, 2^256)."""
+    exponent = np.frexp(blocks[..., 0, 0] + blocks[..., 1, 1])[1]
+    return np.ldexp(1.0, -2 * np.maximum((exponent - 255) // 2, 0)) if np.any(exponent > 256) else 1.0
+
+
 def _point_error(message: str, index, times=None, error: type = ValueError) -> Exception:
     """error(message) naming the point by its time when times is given, with ``index`` its position."""
     exc = error(message + ("" if times is None else f" at t = {times[index]:.6g}"))
@@ -95,11 +96,11 @@ def _point_error(message: str, index, times=None, error: type = ValueError) -> E
     return exc
 
 
-def validate_moments(means, covs, hbar: float, times=None) -> np.ndarray:
+def validate_moments(means, covs, times=None) -> np.ndarray:
     """GaussianState's checks over stacks (n, 2N) and (n, 2N, 2N); returns covs symmetrized.
 
     Moments finite, covariances symmetric to 1e-12 relative and positive
-    definite, every mode at nu >= hbar (1 - PHYSICALITY_SLACK).  Errors name
+    definite, every mode at nu >= 1 - PHYSICALITY_SLACK.  Errors name
     the first failing point, by its time when times is given, and carry
     its position in the stack as ``index``."""
 
@@ -121,19 +122,19 @@ def validate_moments(means, covs, hbar: float, times=None) -> np.ndarray:
     blocks = np.stack([covs[..., i : i + 2, i : i + 2] for i in range(0, covs.shape[-1], 2)], axis=-3)
     with np.errstate(over="ignore", invalid="ignore"):  # a determinant past the floats is far above the floor
         nus = _nu(blocks)  # (n, modes)
-    low = nus < hbar * (1.0 - PHYSICALITY_SLACK)
+    low = nus < 1.0 - PHYSICALITY_SLACK
     if low.any():
         i, mode = np.argwhere(low)[0]  # row-major: the first failing point, then its first failing mode
-        message = f"mode {mode + 1} has nu = {nus[i, mode]:.6g} < hbar = {hbar:.6g}"
+        message = f"mode {mode + 1} has nu = {nus[i, mode]:.6g} < 1"
         raise _point_error(message, i, times, UnphysicalStateError)
     return covs
 
 
-def thermal_state(nbar: float, hbar: float = 1.0) -> GaussianState:
-    """Single-mode thermal state: zero mean, sigma = (2 nbar + 1) * hbar * I."""
+def thermal_state(nbar: float) -> GaussianState:
+    """Single-mode thermal state: zero mean, sigma = (2 nbar + 1) * I."""
     if nbar < 0:
         raise ValueError("mean photon number must be nonnegative")
-    return GaussianState(np.zeros(2), (2.0 * nbar + 1.0) * hbar * np.eye(2), hbar)
+    return GaussianState(np.zeros(2), (2.0 * nbar + 1.0) * np.eye(2))
 
 
 def reduce_mode(state: GaussianState, mode: int) -> GaussianState:
@@ -143,7 +144,7 @@ def reduce_mode(state: GaussianState, mode: int) -> GaussianState:
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
     i = 2 * (mode - 1)
-    return GaussianState(state.mean[i : i + 2], state.cov[i : i + 2, i : i + 2], state.hbar)
+    return GaussianState(state.mean[i : i + 2], state.cov[i : i + 2, i : i + 2])
 
 
 def moment_fidelity(mean1, cov1, mean2, cov2):
@@ -154,14 +155,19 @@ def moment_fidelity(mean1, cov1, mean2, cov2):
     d the difference of the means and sigma_+ the sum of the covariances.
     The prefactor is 2 / (sqrt(Delta + delta) - sqrt(delta)) without the
     cancellation of that difference for mixed states, and sigma_+^-1 is
-    its 2 x 2 adjugate over Delta.
+    its 2 x 2 adjugate over Delta.  Each block whose trace passes 2^256 is
+    scaled by a power of two first, so no determinant leaves the floats.
     """
     splus = cov1 + cov2
-    big_delta = _det2(splus)
-    small_delta = np.maximum((_det2(cov1) - 1.0) * (_det2(cov2) - 1.0), 0.0)  # 0 up to roundoff if pure
-    dq, dp = np.moveaxis(np.asarray(mean1 - mean2), -1, 0)
+    unit, unit1, unit2 = _power_scale(splus), _power_scale(cov1), _power_scale(cov2)  # 1/s of each block
+    splus, cov1, cov2 = (splus.T * unit).T, (cov1.T * unit1).T, (cov2.T * unit2).T  # each block times its unit
+    big_delta = _det2(splus)  # Delta / s+^2
+    small_delta = np.maximum((_det2(cov1) - unit1 * unit1) * (_det2(cov2) - unit2 * unit2), 0.0)  # 0 if pure
+    ratio = (unit / unit1) * (unit / unit2)  # s1 s2 / s+^2; small_delta is delta / (s1 s2)^2
+    dq, dp = np.moveaxis(np.asarray(mean1 - mean2), -1, 0) * np.sqrt(unit)  # d^T sigma_+^-1 d is unchanged
     quad = splus[..., 1, 1] * dq * dq - (splus[..., 0, 1] + splus[..., 1, 0]) * dq * dp + splus[..., 0, 0] * dp * dp
-    value = 2.0 * (np.sqrt(big_delta + small_delta) + np.sqrt(small_delta)) / big_delta
+    total = big_delta * unit * unit + ratio * (ratio * small_delta)  # (Delta + delta) / s+^4
+    value = 2.0 * (np.sqrt(total) + ratio * np.sqrt(small_delta)) / big_delta
     return np.clip(value * np.exp(-0.5 * quad / big_delta), 0.0, 1.0)
 
 
@@ -169,10 +175,7 @@ def fidelity(state1: GaussianState, state2: GaussianState) -> float:
     """Overlap of two single-mode Gaussian states, in [0, 1]; see :func:`moment_fidelity`."""
     if state1.modes != 1 or state2.modes != 1:
         raise ValueError("fidelity is implemented for single-mode states")
-    if not math.isclose(state1.hbar, state2.hbar, rel_tol=1e-12):
-        raise ValueError("states must share hbar")
-    h, root = state1.hbar, math.sqrt(state1.hbar)
-    return float(moment_fidelity(state1.mean / root, state1.cov / h, state2.mean / root, state2.cov / h))
+    return float(moment_fidelity(state1.mean, state1.cov, state2.mean, state2.cov))
 
 
 def moment_coherence(mean, cov):
@@ -186,7 +189,8 @@ def moment_coherence(mean, cov):
     whose m = 0 and delta = 0 terms are exactly 0.
     """
     s11, s12, s22 = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
-    nu = np.maximum(_nu(cov), 1.0)
+    unit = _power_scale(cov)  # det sigma may pass the floats where nu does not: nu of the scaled block
+    nu = np.maximum(_nu((cov.T * unit).T) / unit, 1.0)
     m = 0.5 * (nu - 1.0)
     spread = (s11 - s22) ** 2 + 4.0 * s12 * s12
     delta = 0.25 * (np.sum(np.square(mean), axis=-1) + spread / (s11 + s22 + 2.0 * nu))
@@ -196,22 +200,25 @@ def moment_coherence(mean, cov):
     inverse = np.divide(1.0, x, out=np.zeros_like(delta), where=~near)
     logs = np.log(x, out=np.zeros_like(delta), where=near & (delta > 0.0))
     excess = np.where(near, np.log1p(x) - logs, np.log1p(inverse))  # log1p(1/x), times delta below
-    nats = (m + 1.0) * np.log1p(delta / (m + 1.0)) - m * np.log1p(ratio) + delta * excess
-    return np.maximum(nats / math.log(2.0), 0.0)
+    pair = (m + 1.0) * np.log1p(delta / (m + 1.0)) - m * np.log1p(ratio)
+    if np.any(m > 100.0):  # pair's terms cancel to 1e-16 m; 3-point Gauss-Legendre of its integral over [m, m + 1]
+        mid, h = np.maximum(m, 100.0) + 0.5, math.sqrt(0.15)
+        gauss = sum(w * (np.log1p(delta / s) - delta / (s + delta)) for s, w in ((mid - h, 5), (mid, 8), (mid + h, 5)))
+        pair = np.where(m > 100.0, gauss / 18.0, pair)
+    return np.maximum((pair + delta * excess) / math.log(2.0), 0.0)
 
 
 def coherence(state: GaussianState) -> float:
     """Distance in bits from the closest thermal state, zero exactly for thermal states."""
     if state.modes != 1:
         raise ValueError("coherence is implemented for single-mode states")
-    return float(moment_coherence(state.mean / math.sqrt(state.hbar), state.cov / state.hbar))
+    return float(moment_coherence(state.mean, state.cov))
 
 
 def state_to_record(state: GaussianState) -> dict:
-    """Flat serializable record {N, hbar, d, sigma}."""
+    """Flat serializable record {N, d, sigma}."""
     return {
         "N": state.modes,
-        "hbar": state.hbar,
         "d": [float(v) for v in state.mean],
         "sigma": [[float(v) for v in row] for row in state.cov],
     }

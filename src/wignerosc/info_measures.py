@@ -1,11 +1,11 @@
 """Informational functionals of Wigner functions.
 
-Linear entropy S = 1 - (2 pi hbar)^2 integral(W^2), the mutual information
+Linear entropy S = 1 - (2 pi)^2 integral(W^2), the mutual information
 I = S(W_1) + S(W_2) - S(W) built from single-mode marginals, and the Wigner
 negativity delta = integral(|W|) - integral(W).
 
 The integrals take the two-mode :class:`~wignerosc.fock_dynamics.WignerField`
-of the pair, W = profile * exp(-sum_i a_i z_i^2) with a polynomial profile,
+of the pair, W = profile * exp(-|z|^2) in vacuum units with a polynomial profile,
 and evaluate exactly by Gauss-Hermite rules from numpy's ``hermgauss``,
 imported only when a field is integrated.  For the number-state pair the
 mutual information and the negativity need no integration at all: both
@@ -34,37 +34,31 @@ __all__ = [
 def _envelope_points(field: WignerField, squared: bool):
     """Gauss-Hermite points exact for the field's profile, or for its square when squared.
 
-    Returns the points z_i = x_i / sqrt(scale * a_i) per axis, scale 2 for
-    the square's envelope, with the combined weight array and the Jacobian
-    of the substitution.  A rule of more than 128 nodes, whose 4-d grid
-    passes 2 GiB per array, is a ValueError.
+    Returns the 4-d grids of nodes x / sqrt(scale), scale 2 for the square's envelope
+    exp(-2|z|^2), the combined weights and the Jacobian scale^-2 of the substitution.
+    A rule of more than 64 nodes, whose 4-d grid passes 2^24 points, is a ValueError.
     """
     # imported here: numpy.polynomial adds ~25 ms to every start-up of the command line, which never integrates
     from numpy.polynomial.hermite import hermgauss
 
     nodes = max(8, field.degree + 1 if squared else field.degree // 2 + 1)
-    if nodes > 128:
-        raise ValueError(f"a field of degree {field.degree} needs {nodes} Gauss-Hermite nodes, more than 128")
+    if nodes > 64:
+        raise ValueError(f"a field of degree {field.degree} needs {nodes} Gauss-Hermite nodes, more than 64")
     x, weight = hermgauss(nodes)
     scale = 2.0 if squared else 1.0
-    rates = field.rates
-    grids = np.meshgrid(*[x / math.sqrt(scale * a) for a in rates], indexing="ij")
-    combo = weight
-    for _ in range(len(rates) - 1):
-        combo = np.multiply.outer(combo, weight)
-    jacobian = math.prod(1.0 / math.sqrt(scale * a) for a in rates)
-    return grids, combo, jacobian
+    grids = np.meshgrid(*[x / math.sqrt(scale)] * 4, indexing="ij")
+    return grids, math.prod(np.ix_(*[weight] * 4)), scale**-2
 
 
 def linear_entropy(field: WignerField) -> float:
-    """1 - (2 pi hbar)^2 * integral(W^2) over the field's phase space.
+    """1 - (2 pi)^2 * integral(W^2) over the field's phase space.
 
     Zero for pure states; results within 1e-9 of the [0, 1] bounds are
     clamped onto them.
     """
     grids, combo, jacobian = _envelope_points(field, squared=True)
     vals = field.profile(*grids)
-    purity = (2 * math.pi * field.hbar) ** 2 * jacobian * float(np.sum(combo * vals * vals))
+    purity = (2 * math.pi) ** 2 * jacobian * float(np.sum(combo * vals * vals))
     s = 1.0 - purity
     if -1e-9 <= s < 0.0:
         return 0.0
@@ -130,7 +124,7 @@ def negativity(populations):
     row (a float or an array of values is returned).  Every marginal of the
     rotated pair is such a state (:func:`fock_dynamics.mode_populations`).
 
-    With v = 2 (a_q q^2 + a_p p^2), integral(W) = int_0^inf f(v) dv / 2 for
+    With v = 2 (q^2 + p^2), integral(W) = int_0^inf f(v) dv / 2 for
     f = e^{-v/2} Q(v), Q = sum_j (-1)^j P_j L_j(v).  The negativity, twice
     the weight of W's negative part, is therefore the integral of |f| where
     f < 0.  The tail T(x) = int_x^inf f dv is again a Laguerre series,

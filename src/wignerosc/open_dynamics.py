@@ -4,10 +4,10 @@ Mode 1 couples to a Markovian thermal reservoir (rate Gamma, occupation
 mbar) while exchanging excitations with mode 2 through the rotational
 coupling gamma.  The moments obey d' = A d, sigma' = A sigma + sigma A^T + D,
 with the model's drift A and diffusion D.
-In the vacuum-scaled quadratures x = q sqrt(m omega / hbar) and
-y = p / sqrt(m omega hbar) the bath damps mode 1 at Gamma/2 and diffuses it
-at Gamma (2 mbar + 1), and A = I (x) omega J + C (x) I splits into commuting
-parts, C = [[-Gamma/2, gamma], [-gamma, 0]].  So, at every time at once,
+Moments are in vacuum units: the bath damps mode 1 at Gamma/2 and diffuses
+it at Gamma (2 mbar + 1), and A = I (x) omega J + C (x) I splits into
+commuting parts, C = [[-Gamma/2, gamma], [-gamma, 0]].  So, at every time
+at once,
 
     E(t) = e^{Ct} (x) R(omega t),  sigma(t) = E (sigma(0) - sigma_inf) E^T + sigma_inf,  d(t) = E d(0),
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock_dynamics import OscillatorParams, _out_of_range, vacuum_scale
+from .fock_dynamics import OscillatorParams
 from .gaussian_states import (
     GaussianState,
     ThermalBath,
@@ -54,7 +54,6 @@ class EvolutionRecord:
     covs: np.ndarray
     fidelity_track: np.ndarray
     coherence_track: np.ndarray
-    hbar: float = 1.0
     backflow_intervals: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -70,7 +69,7 @@ class EvolutionRecord:
     @property
     def states(self) -> list[GaussianState]:
         """The two-mode state at each time, built and validated on each access."""
-        return [GaussianState(d, s, self.hbar) for d, s in zip(self.means, self.covs)]
+        return [GaussianState(d, s) for d, s in zip(self.means, self.covs)]
 
 
 def thermalize_closed_form(state: GaussianState, bath: ThermalBath, t: float) -> GaussianState:
@@ -85,12 +84,8 @@ def thermalize_closed_form(state: GaussianState, bath: ThermalBath, t: float) ->
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("time must be nonnegative")
     decay = math.exp(-bath.decay_rate * t)
-    target = (2.0 * bath.mean_occupation + 1.0) * state.hbar * np.eye(2)
-    return GaussianState(
-        math.sqrt(decay) * state.mean,
-        decay * state.cov + (1.0 - decay) * target,
-        state.hbar,
-    )
+    target = (2.0 * bath.mean_occupation + 1.0) * np.eye(2)
+    return GaussianState(math.sqrt(decay) * state.mean, decay * state.cov + (1.0 - decay) * target)
 
 
 def _exchange_flow(rate: float, gamma: float, t: np.ndarray) -> np.ndarray:
@@ -123,41 +118,37 @@ def evolve_coupled(
 ) -> EvolutionRecord:
     """Propagate the coupled dissipative dynamics exactly over the requested grid.
 
-    The moments come from the closed form of the module docstring and are
-    returned in physical units; every state must pass GaussianState's checks.
-    The tracks, the reduced mode-1 fidelity to the reservoir's asymptotic
-    thermal state and the mode-1 coherence, are evaluated on the mode-1
-    moments in vacuum units in the frame turning with R(omega t); a track
-    value past the floats raises OverflowError naming its time.
+    The moments come from the closed form of the module docstring; every
+    state must pass GaussianState's checks.  The tracks, the reduced mode-1
+    fidelity to the reservoir's asymptotic thermal state and the mode-1
+    coherence, are evaluated on the mode-1 moments in the frame turning
+    with R(omega t); a track value past the floats raises OverflowError
+    naming its time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be one-dimensional, start at 0 and increase strictly")
     if initial.modes != 2:
         raise ValueError("initial state must have two modes")
-    if not math.isclose(initial.hbar, params.hbar, rel_tol=1e-12):
-        raise ValueError("initial state and oscillator parameters disagree on hbar")
     asymptote = 2.0 * bath.mean_occupation + 1.0
     if not math.isfinite(asymptote):
-        raise _out_of_range("the asymptotic variance 2 mbar + 1", "mean_occupation")
+        raise OverflowError("the asymptotic variance 2 mbar + 1 leaves the floats")
 
-    scale = vacuum_scale(params)
     # moments that leave the floats, with a phase kappa t or omega t among them, are reported
     # once, by validate_moments below
     with np.errstate(over="ignore", invalid="ignore"):
         flow = _exchange_flow(bath.decay_rate, params.gamma, t_grid)
-        mean0 = initial.mean / scale
-        excess = initial.cov / np.outer(scale, scale) - asymptote * np.eye(4)  # sigma(0) - sigma_inf
+        excess = initial.cov - asymptote * np.eye(4)  # sigma(0) - sigma_inf
         cos, sin = np.cos(params.omega * t_grid), np.sin(params.omega * t_grid)
-        turn = np.stack([cos, sin, -sin, cos], axis=-1).reshape(-1, 2, 2) * scale[:2, None]  # diag(scale) R
-        gen = (flow[:, :, None, :, None] * turn[:, None, :, None, :]).reshape(-1, 4, 4)  # diag(scale) E
-        means = (gen.reshape(-1, 4) @ mean0).reshape(-1, 4)
-        covs = np.einsum("nij,jk,nlk->nil", gen, excess, gen, optimize=True) + np.diag(asymptote * scale**2)
-    covs = validate_moments(means, covs, initial.hbar, t_grid)
+        turn = np.stack([cos, sin, -sin, cos], axis=-1).reshape(-1, 2, 2)
+        gen = (flow[:, :, None, :, None] * turn[:, None, :, None, :]).reshape(-1, 4, 4)  # E = e^{Ct} (x) R
+        means = (gen.reshape(-1, 4) @ initial.mean).reshape(-1, 4)
+        covs = np.einsum("nij,jk,nlk->nil", gen, excess, gen, optimize=True) + asymptote * np.eye(4)
+    covs = validate_moments(means, covs, t_grid)
 
     # mode 1 in the turning frame: d1 = sum_k e_1k d_k, sigma_1 = sum_kl e_1k e_1l Delta_kl + sigma_inf
     row = flow[:, 0]
-    mean1 = row @ mean0.reshape(2, 2)
+    mean1 = row @ initial.mean.reshape(2, 2)
     blocks = excess.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)  # row kl holds Delta_kl
     cov1 = ((row[:, :, None] * row[:, None, :]).reshape(-1, 4) @ blocks).reshape(-1, 2, 2) + asymptote * np.eye(2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below, at the first time
@@ -166,10 +157,12 @@ def evolve_coupled(
     bad = ~(np.isfinite(fid) & np.isfinite(coh))
     if bad.any():
         raise _point_error("the fidelity and coherence tracks leave the floats", np.argmax(bad), t_grid, OverflowError)
-    return EvolutionRecord(t_grid, means, covs, fid, coh, initial.hbar, backflow_intervals(t_grid, fid))
+    return EvolutionRecord(t_grid, means, covs, fid, coh, backflow_intervals(t_grid, fid))
 
 
 def _monotone_violations(times, track, tol: float, rising: bool) -> list[tuple[float, float]]:
+    if not tol >= 0:  # nan included
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     times = np.asarray(times, dtype=float)
     track = np.asarray(track, dtype=float)
     if times.shape != track.shape:

@@ -99,7 +99,10 @@ class TestQuery:
         (["eigen", f"k={10**400}"], 3, ""),  # an integer too large for a float
         (["coherence", "nbar=1e308"], 3, ""),  # the variance 2 nbar + 1 overflows
         (["fidelity", "nbar2=1e308"], 3, ""),
-    ], ids=["eigen", "coherence", "coherence_tiny_d", "fidelity", "eigen_huge_k", "coherence_nbar", "fidelity_nbar"])
+        (["coherence", "nbar=1e160", "d=0,0"], 0, "0 bits\n"),  # det sigma passes the floats, nu does not
+        (["fidelity", "nbar1=1e160", "nbar2=1e160"], 0, "1\n"),
+    ], ids=["eigen", "coherence", "coherence_tiny_d", "fidelity", "eigen_huge_k", "coherence_nbar", "fidelity_nbar",
+            "coherence_nbar_1e160", "fidelity_nbar_1e160"])
     def test_non_finite_results_exit_3(self, params, code, printed, capsys):
         assert main(["query", *params]) == code
         out, err = capsys.readouterr()
@@ -382,14 +385,13 @@ class TestFig3Command:
         assert "configuration error" in capsys.readouterr().err
 
     # the first sample whose moments or tracks leave the floats, by its value in the t column (Gamma*t)
-    FAILING_T = {"physics.gamma=1.7e308": "0.15", "physics.nbar=1e200": "0"}
+    FAILING_T = {"physics.gamma=1.7e308": "0.15"}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value,at_time", [
         ("physics.mbar=1e308", False),  # infinite asymptotic variance 2 mbar + 1
         ("physics.nbar=1e308", False),  # infinite initial variance 2 nbar + 1
         ("physics.gamma=1.7e308", True),  # the exchange phase kappa t passes the float range
-        ("physics.nbar=1e200", True),  # det sigma_1 passes it: fidelity and coherence are nan
     ])
     def test_numeric_failure_exit_code(self, value, at_time, tmp_path, capsys):
         out = tmp_path / "f.csv"
@@ -415,9 +417,11 @@ class TestFig3Command:
         )
         assert not out.exists()
 
-    # An input that overflowed the step maps; the closed form is exact for it.
+    # Inputs that overflowed: the step maps at gamma = 1e300, for which the closed form is exact, and
+    # det sigma_1 at nbar = 1e200, which the kernels take of blocks scaled by a power of two
+    # (tests/test_fig3_certification.py checks that run against a 450-digit reference)
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("sets", [["physics.gamma=1e300"]], ids=["gamma=1e300"])
+    @pytest.mark.parametrize("sets", [["physics.gamma=1e300"], ["physics.nbar=1e200"]], ids=["gamma=1e300", "nbar=1e200"])
     def test_former_overflows_run(self, sets, tmp_path):
         out = tmp_path / "f.csv"
         assert main(["fig3", "--out", str(out), *[f for key in sets for f in ("--set", key)], *FAST_FIG3]) == 0
@@ -441,6 +445,13 @@ class TestFig3Command:
         assert main(["fig3", "--out", str(out), *[f for key in sets for f in ("--set", key)]]) == 0
         table = np.loadtxt(out, delimiter=",", skiprows=1, comments="#")
         assert table.shape == (5001, 4) and np.isfinite(table).all()
+
+    def test_negative_backflow_tol_exits_2(self, tmp_path, capsys):
+        # a negative tolerance would count every flat step as a drop
+        out = tmp_path / "f.csv"
+        assert main(["fig3", "--out", str(out), "--set", "numeric.backflow_tol=-1"]) == 2
+        assert capsys.readouterr().err == "configuration error: numeric.backflow_tol must be nonnegative, got '-1'\n"
+        assert not out.exists()
 
     def test_backflow_tol_sets_both_interval_lists(self, tmp_path):
         out = tmp_path / "f.json"

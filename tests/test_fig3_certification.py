@@ -55,3 +55,21 @@ def test_tracks_against_30_digit_van_loan(displacement):
         ),
     }
     assert max(worst.values()) < TOLERANCE, worst
+
+
+def test_huge_occupation_against_high_precision_van_loan(monkeypatch):
+    # at nbar = 1e200 det sigma_1 passes the floats; the coherence, of order 1e-200, is a difference of
+    # entropies (x + 1) log(x + 1) - x log x whose terms are near 5e202, so the reference takes 450 digits
+    monkeypatch.setattr(oracles, "DIGITS", 450)
+    columns = run_fig3(resolve_config("fig3", None, ["physics.nbar=1e200", "numeric.t_step=0.5"]), GAMMA)["columns"]
+    times = columns["t"] / RATE
+    assert times.size == 13
+    nbar = mp.mpf(1e200)
+    cov = [[(4 * nbar + 2 - 2) / 2 if i == j else 0 for j in range(4)] for i in range(4)]
+    tracks = [
+        oracles.mode_tracks_mp(mean[:2], moments[:2, :2].tolist(), 2 * MBAR + 1)
+        for mean, moments in oracles.van_loan_moments_mp(DRIFT, DIFFUSION, [1.0] * 4, cov, times)
+    ]
+    for name, index in (("fidelity", 0), ("coherence_raw", 1)):
+        worst = max(abs(got / float(want[index]) - 1) for got, want in zip(columns[name], tracks))
+        assert worst < 1e-13, (name, worst)

@@ -9,7 +9,6 @@ from wignerosc.fock_dynamics import (
     FockPairState,
     OscillatorParams,
     energy,
-    envelope_rates,
     mode_populations,
     pair_field,
 )
@@ -17,13 +16,13 @@ from wignerosc.quadrature import laguerre
 
 DEFAULT = OscillatorParams()
 COUPLED = OscillatorParams(gamma=0.1)
-OFF_UNIT_MODELS = [(4.0, 1.0, 1.0, 0.0), (1.0, 3.0, 1.0, 0.35), (2.3, 0.7, 0.5, 0.2)]  # (m, omega, hbar, gamma)
+OFF_UNIT_MODELS = [(1.0, 1.0, 0.0), (3.0, 1.0, 0.35), (0.7, 0.5, 0.2)]  # (omega, hbar, gamma)
 
 
-def fock_1d(n, q, p, hbar=1.0):
-    """Single-mode number-state Wigner function, written out directly."""
-    s = (q * q + p * p) / hbar
-    return (-1.0) ** n / (math.pi * hbar) * np.exp(-s) * laguerre(n, 2.0 * s)
+def fock_1d(n, q, p):
+    """Single-mode number-state Wigner function in vacuum units, written out directly."""
+    s = q * q + p * p
+    return (-1.0) ** n / math.pi * np.exp(-s) * laguerre(n, 2.0 * s)
 
 
 def exact_rule(k, ell):
@@ -37,39 +36,28 @@ def evolved_wigner(state, point, t):
 
 
 def flow(params, t):
-    """The oracle's Hamiltonian flow matrix for these parameters."""
-    return oracles.hamiltonian_flow(params.mass, params.omega, params.gamma, t)
+    """The oracle's Hamiltonian flow matrix in vacuum units, its physical flow at m omega = 1."""
+    return oracles.hamiltonian_flow(1.0 / params.omega, params.omega, params.gamma, t)
 
 
 def marginal_wigner(state, t, mode, point):
     """Single-mode marginal at a point (q, p): the oracle's Wigner function of the library's populations."""
-    a_q, a_p = envelope_rates(state.params)
-    probs = mode_populations(state, t, mode)
-    return oracles.marginal_wigner(probs, *point, a_q=a_q, a_p=a_p, hbar=state.params.hbar)
+    return oracles.marginal_wigner(mode_populations(state, t, mode), *point)
 
 
-def normalization_4d(fn, params, nodes=12):
-    """Quadrature of a full two-mode Wigner function."""
+def normalization_4d(fn, nodes=12):
+    """Quadrature of a full two-mode Wigner function, whose envelope is exp(-|z|^2)."""
     x, w = roots_hermite(nodes)
-    a_q, a_p = envelope_rates(params)
-    q_ax, p_ax = x / math.sqrt(a_q), x / math.sqrt(a_p)
-    q1, p1, q2, p2 = np.meshgrid(q_ax, p_ax, q_ax, p_ax, indexing="ij")
+    grids = np.meshgrid(x, x, x, x, indexing="ij")
     combo = w[:, None, None, None] * w[None, :, None, None] * w[None, None, :, None] * w[None, None, None, :]
-    vals = fn(q1, p1, q2, p2)
-    envelope = np.exp(
-        a_q * q1 * q1 + a_p * p1 * p1 + a_q * q2 * q2 + a_p * p2 * p2
-    )
-    return float(np.sum(combo * vals * envelope)) / (a_q * a_p)
+    vals = fn(*grids)
+    return float(np.sum(combo * vals * np.exp(sum(g * g for g in grids))))
 
 
 class TestParams:
-    def test_alpha_beta_relation(self):
-        for params in (DEFAULT, OscillatorParams(mass=2.3, omega=0.7, hbar=0.5, gamma=1.2)):
-            assert 2 * params.alpha * params.beta == pytest.approx(params.omega, rel=1e-12)
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            OscillatorParams(mass=-1.0)
+            OscillatorParams(hbar=-1.0)
         with pytest.raises(ValueError):
             OscillatorParams(omega=0.0)
         with pytest.raises(ValueError):
@@ -88,9 +76,9 @@ class TestEnergy:
 
     def test_first_excited(self):
         assert energy(1, 0, COUPLED) == pytest.approx(2.1, rel=1e-14)
-        # hbar omega (n1 + n2 + 1) + hbar gamma (n1 - n2) at m omega != 1 and hbar != 1, and higher up
-        for mass, omega, hbar, gamma in OFF_UNIT_MODELS:
-            params = OscillatorParams(mass=mass, omega=omega, hbar=hbar, gamma=gamma)
+        # hbar omega (n1 + n2 + 1) + hbar gamma (n1 - n2) at omega != 1 and hbar != 1, and higher up
+        for omega, hbar, gamma in OFF_UNIT_MODELS:
+            params = OscillatorParams(omega=omega, hbar=hbar, gamma=gamma)
             for n1, n2 in ((0, 0), (0, 2), (2, 1), (1, 1)):
                 expected = hbar * omega * (n1 + n2 + 1) + hbar * gamma * (n1 - n2)
                 assert energy(n1, n2, params) == pytest.approx(expected, rel=1e-14)
@@ -118,14 +106,14 @@ class TestStationaryWigner:
     @pytest.mark.parametrize("n1,n2", [(0, 0), (1, 0), (2, 1)])
     def test_normalized(self, n1, n2):
         state = FockPairState(n1, n2, DEFAULT)
-        total = normalization_4d(lambda *z: evolved_wigner(state, z, 2.3), DEFAULT)
+        total = normalization_4d(lambda *z: evolved_wigner(state, z, 2.3))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_stationary_under_flow(self):
         # the Wigner function is carried along the classical trajectories: W_t(Phi_t z) = W_0(z),
         # and with no coupling W_t = W_0
         rng = np.random.default_rng(11)
-        for params in (DEFAULT, COUPLED, OscillatorParams(mass=1.7, omega=0.6, hbar=0.8, gamma=0.3)):
+        for params in (DEFAULT, COUPLED, OscillatorParams(omega=0.6, hbar=0.8, gamma=0.3)):
             state = FockPairState(1, 2, params)
             moving = flow(params, 0.83)
             for _ in range(20):
@@ -150,7 +138,7 @@ class TestClassicalTrajectory:
         out = flow(OscillatorParams(gamma=0.25), 2 * math.pi) @ [1, 0, 0, 0]
         assert out == pytest.approx([0.0, 0.0, -1.0, 0.0], abs=1e-12)
 
-    @pytest.mark.parametrize("params", [DEFAULT, COUPLED, OscillatorParams(mass=1.7, omega=0.6, gamma=0.3)])
+    @pytest.mark.parametrize("params", [DEFAULT, COUPLED, OscillatorParams(omega=0.6, gamma=0.3)])
     def test_symplectic_jacobian(self, params):
         # the flow preserves the symplectic form J of (q1, p1, q2, p2), so its determinant is 1
         jac = flow(params, 1.234)
@@ -203,19 +191,13 @@ class TestEvolvedWigner:
         state = FockPairState(k, ell, params)
         t = theta / params.gamma
         x, w = exact_rule(k, ell)
-        a_q, a_p = envelope_rates(params)
         # scale-1 nodes for the normalization, scale-2 for the purity
-        total = normalization_4d(lambda *z: evolved_wigner(state, z, t), params, nodes=len(x))
+        total = normalization_4d(lambda *z: evolved_wigner(state, z, t), nodes=len(x))
         assert total == pytest.approx(1.0, abs=1e-8)
-        axes = [x / math.sqrt(2 * a) for a in (a_q, a_p, a_q, a_p)]
-        grids = np.meshgrid(*axes, indexing="ij")
+        grids = np.meshgrid(*[x / math.sqrt(2)] * 4, indexing="ij")
         combo = w[:, None, None, None] * w[None, :, None, None] * w[None, None, :, None] * w[None, None, None, :]
-        vals = evolved_wigner(state, grids, t)
-        envelope = np.exp(
-            a_q * grids[0] ** 2 + a_p * grids[1] ** 2 + a_q * grids[2] ** 2 + a_p * grids[3] ** 2
-        )
-        profile = vals * envelope
-        purity = (2 * math.pi * params.hbar) ** 2 / (4 * a_q * a_p) * float(np.sum(combo * profile**2))
+        profile = evolved_wigner(state, grids, t) * np.exp(sum(g * g for g in grids))
+        purity = (2 * math.pi) ** 2 / 4 * float(np.sum(combo * profile**2))
         assert purity == pytest.approx(1.0, abs=1e-8)
 
 
@@ -248,12 +230,9 @@ class TestMarginal:
         params = OscillatorParams(gamma=1.0)
         state = FockPairState(k, ell, params)
         x, w = exact_rule(k, ell)
-        a_q, a_p = envelope_rates(params)
-        q_ax, p_ax = x / math.sqrt(a_q), x / math.sqrt(a_p)
-        qq, pp = np.meshgrid(q_ax, p_ax, indexing="ij")
-        vals = marginal_wigner(state, theta, 1, (qq, pp))
-        profile = vals * np.exp(a_q * qq**2 + a_p * pp**2)
-        total = float(np.sum(np.outer(w, w) * profile)) / math.sqrt(a_q * a_p)
+        qq, pp = np.meshgrid(x, x, indexing="ij")
+        profile = marginal_wigner(state, theta, 1, (qq, pp)) * np.exp(qq**2 + pp**2)
+        total = float(np.sum(np.outer(w, w) * profile))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_mode_swap_against_initial(self):
@@ -271,23 +250,17 @@ class TestMarginal:
         params = OscillatorParams(gamma=1.0)
         state = FockPairState(2, 1, params)
         x, w = exact_rule(2, 1)
-        a_q, a_p = envelope_rates(params)
-        p_ax = x / math.sqrt(a_p)
         for q in np.linspace(-4.0, 4.0, 33):
-            vals = marginal_wigner(state, theta, 1, (q, p_ax))
-            profile = vals * np.exp(a_q * q * q + a_p * p_ax**2)
-            density = math.exp(-a_q * q * q) * float(np.sum(w * profile)) / math.sqrt(a_p)
+            profile = marginal_wigner(state, theta, 1, (q, x)) * np.exp(q * q + x**2)
+            density = math.exp(-q * q) * float(np.sum(w * profile))
             assert density >= -1e-9
 
     def test_nondefault_units(self):
-        # normalization survives unequal mass/frequency/hbar
-        params = OscillatorParams(mass=1.7, omega=0.6, hbar=0.8, gamma=1.0)
+        # normalization survives a frequency and hbar other than 1: the marginal is in vacuum units
+        params = OscillatorParams(omega=0.6, hbar=0.8, gamma=1.0)
         state = FockPairState(1, 1, params)
         x, w = exact_rule(1, 1)
-        a_q, a_p = envelope_rates(params)
-        q_ax, p_ax = x / math.sqrt(a_q), x / math.sqrt(a_p)
-        qq, pp = np.meshgrid(q_ax, p_ax, indexing="ij")
-        vals = marginal_wigner(state, 0.7, 1, (qq, pp))
-        profile = vals * np.exp(a_q * qq**2 + a_p * pp**2)
-        total = float(np.sum(np.outer(w, w) * profile)) / math.sqrt(a_q * a_p)
+        qq, pp = np.meshgrid(x, x, indexing="ij")
+        profile = marginal_wigner(state, 0.7, 1, (qq, pp)) * np.exp(qq**2 + pp**2)
+        total = float(np.sum(np.outer(w, w) * profile))
         assert total == pytest.approx(1.0, abs=1e-9)

@@ -18,15 +18,15 @@ from wignerosc.gaussian_states import (
 )
 
 
-def random_physical_state(rng, displaced=True, hbar=1.0):
+def random_physical_state(rng, displaced=True):
     """Random squeezed-rotated thermal state, strictly physical."""
     nu = 1.0 + rng.exponential(1.5)
     r = rng.uniform(-0.6, 0.6)
     phi = rng.uniform(0.0, math.pi)
     rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-    cov = hbar * nu * rot @ np.diag([math.exp(2 * r), math.exp(-2 * r)]) @ rot.T
+    cov = nu * rot @ np.diag([math.exp(2 * r), math.exp(-2 * r)]) @ rot.T
     mean = rng.normal(scale=1.5, size=2) if displaced else np.zeros(2)
-    return GaussianState(mean, cov, hbar)
+    return GaussianState(mean, cov)
 
 
 class TestGaussianState:
@@ -55,13 +55,13 @@ class TestGaussianState:
 
     def test_record_round_trip(self):
         rng = np.random.default_rng(1)
-        state = random_physical_state(rng, hbar=0.7)
+        state = random_physical_state(rng)
         record = state_to_record(state)
-        again = GaussianState(record["d"], record["sigma"], record["hbar"])
+        assert sorted(record) == ["N", "d", "sigma"]
+        again = GaussianState(record["d"], record["sigma"])
         assert record["N"] == again.modes == 1
         assert np.array_equal(again.mean, state.mean)
         assert np.array_equal(again.cov, state.cov)
-        assert again.hbar == state.hbar
 
 
 def gaussian_wigner(state, *coords):
@@ -141,23 +141,19 @@ class TestFidelity:
             value = fidelity(s1, s2)
             assert 0.0 <= value <= 1.0
 
-    def test_same_hbar_required(self):
-        with pytest.raises(ValueError):
-            fidelity(thermal_state(0.0, hbar=1.0), thermal_state(0.0, hbar=2.0))
-        # compared relatively: at SI scale, hbar values a factor 2 apart differ by less than 1e-12
-        with pytest.raises(ValueError, match="share hbar"):
-            fidelity(thermal_state(0.0, hbar=1e-34), thermal_state(0.0, hbar=2e-34))
-        rounded = fidelity(thermal_state(0.0, hbar=1e-34), thermal_state(0.0, hbar=1e-34 * (1 + 1e-15)))
-        assert rounded == pytest.approx(1.0, rel=1e-12)
-
-    def test_hbar_invariance(self):
-        # the same physical pair expressed in different units
-        rng = np.random.default_rng(5)
-        s1, s2 = random_physical_state(rng), random_physical_state(rng)
-        h = 0.7
-        t1 = GaussianState(s1.mean * math.sqrt(h), s1.cov * h, h)
-        t2 = GaussianState(s2.mean * math.sqrt(h), s2.cov * h, h)
-        assert fidelity(t1, t2) == pytest.approx(fidelity(s1, s2), rel=1e-12)
+    def test_huge_occupations(self):
+        # det sigma_+ and det sigma_1 pass the floats from nbar near 1e154, and at 1e307 so does
+        # d^T adj(sigma_+) d; for isotropic blocks a I and b I,
+        # F = 2 / (ab + 1 - sqrt((a^2 - 1)(b^2 - 1))) exp(-|d|^2 / (2 (a + b))), here at 700 digits
+        cases = ((1e160, 1e160, 0.0), (1e200, 3e199, 1e99), (1e160, 0.0, 0.0), (2.0, 1e300, 5.0), (1e250, 4.0, 0.0),
+                 (1e307, 1e307, 1e150), (1e250, 1e250, 3e125))
+        for nbar1, nbar2, d in cases:
+            s1, s2 = thermal_state(nbar1), GaussianState([d, 0.0], (2 * nbar2 + 1) * np.eye(2))
+            with mp.workdps(700):
+                a, b = mp.mpf(s1.cov[0, 0]), mp.mpf(s2.cov[0, 0])
+                overlap = 2 / (a * b + 1 - mp.sqrt((a * a - 1) * (b * b - 1)))
+                exact = overlap * mp.exp(-mp.mpf(d) ** 2 / (2 * (a + b)))
+            assert fidelity(s1, s2) == pytest.approx(float(exact), rel=1e-13)
 
 
 class TestCoherence:
@@ -175,6 +171,17 @@ class TestCoherence:
                 delta = mp.mpf(d) ** 2 / 4
                 exact = ((delta + 1) * mp.log(delta + 1) - delta * mp.log(delta)) / mp.log(2)
             assert coherence(GaussianState([d, 0.0], np.eye(2))) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_huge_occupations(self):
+        # nu = sqrt(det sigma) with det sigma past the floats: S_th(m + |d|^2 / 4) - S_th(m), m = (nu - 1)/2,
+        # a difference of entropies (x + 1) log(x + 1) - x log x whose terms reach 5e202, here at 500 digits
+        for nbar, d in ((1e160, 0.0), (1e160, 3.0), (1e200, 1e99)):
+            state = GaussianState([d, 0.0], (2 * nbar + 1) * np.eye(2))
+            with mp.workdps(500):
+                m = (mp.mpf(state.cov[0, 0]) - 1) / 2
+                n = m + mp.mpf(d) ** 2 / 4
+                exact = ((n + 1) * mp.log(n + 1) - n * mp.log(n) - (m + 1) * mp.log(m + 1) + m * mp.log(m)) / mp.log(2)
+            assert coherence(state) == pytest.approx(float(exact), rel=1e-13, abs=1e-300)
 
     def test_displaced_thermal_value(self):
         state = GaussianState([1.0, 1.0], 4.0 * np.eye(2))
@@ -207,7 +214,7 @@ class TestCoherence:
             state = random_physical_state(rng)
             phi = rng.uniform(0, 2 * math.pi)
             rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-            turned = GaussianState(rot @ state.mean, rot @ state.cov @ rot.T, state.hbar)
+            turned = GaussianState(rot @ state.mean, rot @ state.cov @ rot.T)
             assert abs(coherence(turned) - coherence(state)) < 1e-10
 
     def test_isotropic_zero_mean_has_none(self):

@@ -9,7 +9,6 @@ from wignerosc.fock_dynamics import (
     FockPairState,
     OscillatorParams,
     WignerField,
-    envelope_rates,
     mode_populations,
     pair_field,
 )
@@ -24,11 +23,11 @@ from wignerosc.info_measures import (
 )
 
 UNIT = OscillatorParams(gamma=1.0)  # mixing angle theta equals the time
-OFF_UNIT_MODELS = [(4.0, 1.0, 1.0, 0.0), (1.0, 3.0, 1.0, 0.35), (2.3, 0.7, 0.5, 0.2)]  # (m, omega, hbar, gamma)
+OFF_UNIT_MODELS = [(1.0, 1.0, 0.0), (3.0, 1.0, 0.35), (0.7, 0.5, 0.2)]  # (omega, hbar, gamma)
 
 
 def marginal(state, theta, mode):
-    """The oracle's single-mode marginal of the library's populations, as a function of (q, p), at m = omega = hbar = 1."""
+    """The oracle's single-mode marginal of the library's populations, as a function of (q, p) in vacuum units."""
     probs = mode_populations(state, theta, mode)
     return lambda q, p: oracles.marginal_wigner(probs, q, p)
 
@@ -43,13 +42,13 @@ def expectation_value(field, observable, degree):
     def weighted(*z):
         return field.profile(*z) * observable(*z)
 
-    return normalization(WignerField(weighted, field.rates, field.hbar, field.degree + degree))
+    return normalization(WignerField(weighted, field.degree + degree))
 
 
 def hamiltonian_symbol(params):
-    """alpha^2 (p1^2 + p2^2) + beta^2 (q1^2 + q2^2) + gamma (p1 q2 - p2 q1)."""
-    a2, b2, g = params.alpha**2, params.beta**2, params.gamma
-    return lambda q1, p1, q2, p2: a2 * (p1 * p1 + p2 * p2) + b2 * (q1 * q1 + q2 * q2) + g * (p1 * q2 - p2 * q1)
+    """(hbar omega / 2) (q1^2 + p1^2 + q2^2 + p2^2) + hbar gamma (p1 q2 - p2 q1) in vacuum units."""
+    half, g = params.hbar * params.omega / 2, params.hbar * params.gamma
+    return lambda q1, p1, q2, p2: half * (q1 * q1 + p1 * p1 + q2 * q2 + p2 * p2) + g * (p1 * q2 - p2 * q1)
 
 
 class TestLinearEntropy:
@@ -80,9 +79,9 @@ class TestLinearEntropy:
             assert s == pytest.approx(oracles.mixed_state_entropy(2, 1, theta), abs=1e-11)
 
     def test_requires_envelope(self):
-        # a field is its envelope times its profile: there is no bare evaluator
+        # a field is its envelope times a profile of stated degree: there is no bare evaluator
         with pytest.raises(TypeError):
-            WignerField(lambda q, p: 0.0 * q, hbar=1.0)
+            WignerField(lambda q, p: 0.0 * q)
 
 
 class TestMutualInformation:
@@ -255,10 +254,9 @@ class TestExpectationValue:
 
     def test_eigenstate_energy_sweep(self):
         # <H> = hbar omega (k + l + 1) for every pair at every time: a product of number states has
-        # <p1 q2 - p2 q1> = 0, and <H> is conserved; m omega != 1 checks the envelope rates' orientation,
-        # a_q = m omega / hbar and a_p = 1 / (m omega hbar)
-        for mass, omega, hbar, gamma in ((1.0, 1.0, 1.0, 0.35), *OFF_UNIT_MODELS):
-            params = OscillatorParams(mass=mass, omega=omega, hbar=hbar, gamma=gamma)
+        # <p1 q2 - p2 q1> = 0, and <H> is conserved
+        for omega, hbar, gamma in ((1.0, 1.0, 0.35), *OFF_UNIT_MODELS):
+            params = OscillatorParams(omega=omega, hbar=hbar, gamma=gamma)
             for k, ell in ((0, 0), (0, 2), (2, 1)):
                 field = pair_field(FockPairState(k, ell, params), 1.3)
                 value = expectation_value(field, hamiltonian_symbol(params), 2)
@@ -280,31 +278,27 @@ class TestFieldConstruction:
         # of the library's populations; the integrand is the envelope times a polynomial of degree
         # 2(k + l), which k + l + 1 nodes per axis integrate exactly
         rng = np.random.default_rng(23)
-        params = OscillatorParams(mass=1.3, omega=0.8, hbar=0.9, gamma=1.0)
-        a_q, a_p = envelope_rates(params)
+        params = OscillatorParams(omega=0.8, hbar=0.9, gamma=1.0)
         for (k, ell) in ((1, 0), (2, 1), (3, 3)):
             state = FockPairState(k, ell, params)
             x, w = roots_hermite(k + ell + 2)
-            q2 = x[:, None] / math.sqrt(a_q)
-            p2 = x[None, :] / math.sqrt(a_p)
-            weights = np.outer(w, w) * np.exp(a_q * q2 * q2 + a_p * p2 * p2)
+            q2, p2 = x[:, None], x[None, :]
+            weights = np.outer(w, w) * np.exp(q2 * q2 + p2 * p2)
             for theta in (0.0, 0.37, 1.2):
                 probs = mode_populations(state, theta, 1)
                 q, p = rng.normal(scale=1.6, size=(2, 50))
                 joint = pair_field(state, theta)(q[:, None, None], p[:, None, None], q2, p2)
-                direct = params.hbar * np.sum(weights * joint, axis=(1, 2))
+                direct = np.sum(weights * joint, axis=(1, 2))
                 scale = np.max(np.abs(direct)) + 1e-300
-                marginal_values = oracles.marginal_wigner(probs, q, p, a_q=a_q, a_p=a_p, hbar=params.hbar)
+                marginal_values = oracles.marginal_wigner(probs, q, p)
                 assert np.max(np.abs(marginal_values - direct)) / scale < 1e-11
 
     def test_field_validation(self):
-        for rates in ((1.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0) * 3, (1.0, 0.0, 1.0, 1.0), (1.0, -2.0, 1.0, 1.0),
-                      (1.0, math.nan, 1.0, 1.0)):
+        # the degree sizes the quadrature rules, so it must be a nonnegative integer
+        for degree in (-1, 1.5, math.nan, "two"):
             with pytest.raises(ValueError):
-                WignerField(lambda *z: z[0], rates, 1.0, 1)
-        with pytest.raises(ValueError):
-            WignerField(lambda *z: z[0], (1.0, 2.0, 1.0, 2.0), 0.0, 1)
-        assert WignerField(lambda *z: z[0], (1.0, 2.0, 1.0, 2.0), 1.0, 1).rates == (1.0, 2.0, 1.0, 2.0)
+                WignerField(lambda *z: z[0], degree)
+        assert WignerField(lambda *z: z[0], 1).degree == 1
 
     def test_wrong_coordinate_count(self):
         state = FockPairState(1, 0, UNIT)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from wignerosc.fock_dynamics import OscillatorParams, vacuum_scale
+from wignerosc.fock_dynamics import OscillatorParams
 from wignerosc.gaussian_states import (
     GaussianState,
     ThermalBath,
@@ -26,19 +26,26 @@ from wignerosc.open_dynamics import (
 PARAMS = OscillatorParams(gamma=0.1)
 PARAMS_FREE = OscillatorParams(gamma=0.0)
 BATH = ThermalBath(0.1, 4.0)
-OFF_UNIT_MODELS = [(4.0, 1.0, 1.0, 0.0), (1.0, 3.0, 1.0, 0.35), (2.3, 0.7, 0.5, 0.2)]  # (m, omega, hbar, gamma)
+OFF_UNIT_MODELS = [(1.0, 0.0), (3.0, 0.35), (0.7, 0.2)]  # (omega, gamma)
 
 
-def drift_and_diffusion(params, bath):
-    """The oracle's drift and diffusion matrices of the model, in physical units."""
-    return oracles.drift_and_diffusion(
-        params.alpha, params.beta, params.hbar, params.gamma, bath.decay_rate, bath.mean_occupation
+def drift_and_diffusion(params, bath, mass=None):
+    """The oracle's drift and diffusion of the physical model at this mass and hbar = 1, taken to the
+    library's vacuum units x = q sqrt(m omega), y = p / sqrt(m omega), where the mass drops out.
+
+    The default mass 1 / omega is the one whose physical units are the vacuum units."""
+    mass = 1.0 / params.omega if mass is None else mass
+    alpha, beta = 1.0 / math.sqrt(2.0 * mass), math.sqrt(mass) * params.omega / math.sqrt(2.0)
+    drift, diffusion = oracles.drift_and_diffusion(
+        alpha, beta, 1.0, params.gamma, bath.decay_rate, bath.mean_occupation
     )
+    scale = np.array([1.0 / math.sqrt(mass * params.omega), math.sqrt(mass * params.omega)] * 2)
+    return drift * scale[None, :] / scale[:, None], diffusion / np.outer(scale, scale)
 
 
 def flow(params, t):
-    """The oracle's Hamiltonian flow matrix."""
-    return oracles.hamiltonian_flow(params.mass, params.omega, params.gamma, t)
+    """The oracle's Hamiltonian flow matrix in vacuum units, its physical flow at m omega = 1."""
+    return oracles.hamiltonian_flow(1.0 / params.omega, params.omega, params.gamma, t)
 
 
 def van_loan_doubled(drift, diffusion, t: float, doublings: int):
@@ -49,12 +56,6 @@ def van_loan_doubled(drift, diffusion, t: float, doublings: int):
         noise = phi @ noise @ phi.T + noise
         phi = phi @ phi
     return phi, noise
-
-
-def vacuum_units_state(params, mean, cov) -> GaussianState:
-    """The state with these moments in vacuum units, in the physical units of params."""
-    scale = vacuum_scale(params)
-    return GaussianState(scale * mean, np.outer(scale, scale) * cov, params.hbar)
 
 
 def figure_initial(displacement=(1.0, 1.0, 1.0, 1.0), block=4.0):
@@ -92,8 +93,8 @@ class TestClosedForm:
 class TestDriftDiffusion:
     def test_hamiltonian_flow_matches_trajectories(self):
         # with no bath, integrating z' = A z must land on the closed-form flow, and e^{At} must be
-        # that flow; m omega != 1 checks its q <-> p ratio 1 / (m omega)
-        models = [OscillatorParams(mass=m, omega=w, hbar=h, gamma=g) for m, w, h, g in OFF_UNIT_MODELS]
+        # that flow; omega != 1 checks that both turn each mode plane at omega
+        models = [OscillatorParams(omega=w, gamma=g) for w, g in OFF_UNIT_MODELS]
         for params in (PARAMS_FREE, OscillatorParams(gamma=0.3), *models):
             drift, diffusion = drift_and_diffusion(params, ThermalBath(0.0, 0.0))
             assert np.allclose(diffusion, 0.0)
@@ -135,44 +136,35 @@ class TestDriftDiffusion:
 
 
 class TestOutOfRange:
-    @pytest.mark.parametrize("params,bath,quantity,parameters", [
-        (PARAMS, ThermalBath(0.1, 1e308), "2 mbar + 1", ("mean_occupation",)),
-        (OscillatorParams(mass=1e308, omega=1e308, hbar=1e150), BATH, "vacuum scale", ("mass", "omega", "hbar")),
-    ], ids=["asymptote", "vacuum_scale"])
-    def test_closed_form_out_of_range_is_named(self, params, bath, quantity, parameters):
-        initial = GaussianState(np.ones(4), 4.0 * params.hbar * np.eye(4), params.hbar)
-        with pytest.raises(OverflowError, match=re.escape(quantity)) as info:
-            evolve_coupled(initial, params, bath, np.linspace(0.0, 1.0, 3))
-        assert info.value.parameters == parameters
+    @pytest.mark.parametrize("params,bath,quantity", [
+        (PARAMS, ThermalBath(0.1, 1e308), "the asymptotic variance 2 mbar + 1 leaves the floats"),
+    ], ids=["asymptote"])
+    def test_closed_form_out_of_range_is_named(self, params, bath, quantity):
+        with pytest.raises(OverflowError, match=re.escape(quantity)):
+            evolve_coupled(figure_initial(), params, bath, np.linspace(0.0, 1.0, 3))
 
     @pytest.mark.filterwarnings("error")
     def test_moments_leaving_the_floats_name_the_first_time(self):
-        # the variances (2 mbar + 1) hbar m omega stay finite, but omega t passes the float range
-        # at t = 9.46: the failure names t = 9.5, the first sample it spoils
+        # the variances stay finite, but omega t passes the float range at t = 9.46: the failure
+        # names t = 9.5, the first sample it spoils
         params = OscillatorParams(omega=1.9e307, gamma=0.1)
-        initial = vacuum_units_state(params, np.ones(4), 5.0 * np.eye(4))
+        initial = GaussianState(np.ones(4), 5.0 * np.eye(4))
         with pytest.raises(ValueError, match="moments must be finite at t = 9.5$") as info:
             evolve_coupled(initial, params, BATH, 0.5 * np.arange(21))
         assert info.value.index == 19
 
     def test_moments_past_the_floats_name_the_first_time(self):
-        # finite coefficients, but not the initial q variance in vacuum units, 4 m omega / hbar
-        params = OscillatorParams(mass=1e160, omega=1e160)
-        with pytest.raises(ValueError, match="moments must be finite at t = 0$") as info:
-            evolve_coupled(figure_initial(), params, ThermalBath(0.1, 1.0), np.linspace(0.0, 1.0, 3))
-        assert info.value.index == 0
+        # finite initial means 1.5e308 in both q1 and q2; with no bath the exchange at gamma = 0.1 turns
+        # them into q1 = (cos gamma t + sin gamma t) 1.5e308, past the floats first at t = 2.5
+        # (1.2163 * 1.5e308; 1.1788 * 1.5e308 at t = 2); omega t stays near 0, so R(omega t) = I
+        params = OscillatorParams(omega=1e-300, gamma=0.1)
+        initial = GaussianState([1.5e308, 0.0, 1.5e308, 0.0], 5.0 * np.eye(4))
+        with pytest.raises(ValueError, match="moments must be finite at t = 2.5$") as info:
+            evolve_coupled(initial, params, ThermalBath(0.0, 1.0), 0.5 * np.arange(11))
+        assert info.value.index == 5
 
 
 class TestEvolveCoupled:
-    def test_hbar_compared_relatively(self):
-        # an SI-scale state and parameters whose hbar differ by a factor 3 disagree; a 1e-15 rounding agrees
-        initial = GaussianState(np.zeros(4), 1e-34 * np.eye(4), 1e-34)
-        times = np.linspace(0.0, 1.0, 3)
-        with pytest.raises(ValueError, match="disagree on hbar"):
-            evolve_coupled(initial, OscillatorParams(hbar=3e-34, gamma=0.1), BATH, times)
-        record = evolve_coupled(initial, OscillatorParams(hbar=1e-34 * (1 + 1e-15), gamma=0.1), BATH, times)
-        assert record.times.size == 3
-
     def test_uncoupled_matches_closed_form_entrywise(self):
         initial = figure_initial(displacement=(0.0, 0.0, 0.0, 0.0))
         times = np.linspace(0.0, 6.0 / BATH.decay_rate, 121)
@@ -264,29 +256,25 @@ class TestEvolveCoupled:
         shift = 200  # grid points per period
         assert np.max(np.abs(track[shift:] - track[:-shift])) < 1e-6
 
-    # (m, omega, hbar), up to vacuum units whose squares are near the ends of the float range
+    # omega sets only the intra-mode turn R(omega t), up to omega t near 1e202
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("mass,omega,hbar", [
-        (3.0, 0.3333333333333333, 1.0), (0.2, 5.0, 1.0), (4.0, 1.0, 1.0), (1.0, 4.0, 1.0), (2.3, 0.7, 0.5),
-        (1.0, 1e200, 1.0), (1.0, 1e150, 1.0), (1e-300, 1.0, 1.0),
-    ], ids=["m=3,omega=1/3", "m=0.2,omega=5", "m=4", "omega=4", "m=2.3,omega=0.7,hbar=0.5",
-            "omega=1e200", "omega=1e150", "m=1e-300"])
-    def test_tracks_are_unit_free(self, mass, omega, hbar):
-        # the figure's initial state, given in vacuum units, has the unit model's tracks in any units
+    @pytest.mark.parametrize("omega", [4.0, 1e200, 1e150], ids=["omega=4", "omega=1e200", "omega=1e150"])
+    def test_tracks_are_unit_free(self, omega):
+        # the tracks are taken in the frame turning with R(omega t), so they are the unit model's at any omega
         times = 0.1 * np.arange(201) / BATH.decay_rate  # Gamma t = 0, 0.1, ..., 20
         unit = evolve_coupled(figure_initial(), PARAMS, BATH, times)
-        params = OscillatorParams(mass=mass, omega=omega, hbar=hbar, gamma=PARAMS.gamma)
-        initial = vacuum_units_state(params, np.ones(4), 4.0 * np.eye(4))
-        record = evolve_coupled(initial, params, BATH, times)
+        record = evolve_coupled(figure_initial(), OscillatorParams(omega=omega, gamma=PARAMS.gamma), BATH, times)
         assert np.max(np.abs(record.fidelity_track - unit.fidelity_track)) < 1e-13
         assert np.max(np.abs(record.coherence_track - unit.coherence_track)) < 1e-13
 
     @pytest.mark.parametrize("mass,omega", [(4.0, 1.0), (1.0, 3.0)], ids=["m=4", "omega=3"])
     def test_bath_thermalizes_for_any_m_omega(self, mass, omega):
-        # the reduced mode-1 fidelity to the bath's thermal state reaches 1 at Gamma t = 200
-        params = OscillatorParams(mass=mass, omega=omega, gamma=0.1)
-        initial = vacuum_units_state(params, np.ones(4), 4.0 * np.eye(4))
-        record = evolve_coupled(initial, params, BATH, np.array([0.0, 200.0 / BATH.decay_rate]))
+        # the oracle's physical model at mass m has, in vacuum units, the thermal steady state
+        # (2 mbar + 1) I, and the library's reduced mode-1 fidelity to it reaches 1 at Gamma t = 200
+        params = OscillatorParams(omega=omega, gamma=0.1)
+        steady = oracles.lyapunov_steady_state(*drift_and_diffusion(params, BATH, mass))
+        assert np.max(np.abs(steady - (2 * BATH.mean_occupation + 1) * np.eye(4))) < 1e-12
+        record = evolve_coupled(figure_initial(), params, BATH, np.array([0.0, 200.0 / BATH.decay_rate]))
         assert abs(record.fidelity_track[-1] - 1.0) < 1e-12
 
     def test_grid_validation(self):
@@ -380,11 +368,11 @@ class TestExactPropagator:
         covs = np.array([np.eye(4)] * 3)
         covs[2, 2:, 2:] = 0.5 * np.eye(2)
         with pytest.raises(UnphysicalStateError, match=r"mode 2 .* at t = 7"):
-            validate_moments(means, covs, 1.0, np.array([0.0, 3.0, 7.0]))
+            validate_moments(means, covs, np.array([0.0, 3.0, 7.0]))
         covs[2, 2:, 2:] = np.eye(2)
         covs[1, 0, 2] = covs[1, 2, 0] = 2.0  # blocks fine, joint matrix indefinite
         with pytest.raises(ValueError, match="positive definite at t = 3"):
-            validate_moments(means, covs, 1.0, np.array([0.0, 3.0, 7.0]))
+            validate_moments(means, covs, np.array([0.0, 3.0, 7.0]))
 
 
 # (mass, omega) by coupling: gamma = 0, below, at and above the exceptional point Gamma/4 = 0.025
@@ -395,22 +383,16 @@ SCALED_MODELS = [
 
 @pytest.mark.parametrize("mass,omega,gamma", SCALED_MODELS)
 class TestScaledModel:
-    """The closed form against the oracles, run on the moment equations in vacuum-scaled
-    quadratures x = q sqrt(m omega), y = p / sqrt(m omega) (hbar = 1)."""
-
-    @staticmethod
-    def _model(mass, omega, gamma):
-        params = OscillatorParams(mass=mass, omega=omega, gamma=gamma)
-        drift, diffusion = drift_and_diffusion(params, BATH)
-        scale = np.array([1.0 / math.sqrt(mass * omega), math.sqrt(mass * omega)] * 2)
-        return params, drift * scale[None, :] / scale[:, None], diffusion / np.outer(scale, scale), scale
+    """The closed form against the oracles, run on the moment equations of the physical model at
+    mass m (hbar = 1) taken to the vacuum quadratures x = q sqrt(m omega), y = p / sqrt(m omega):
+    the library's record is that model at every mass."""
 
     def _scaled_record(self, mass, omega, gamma, times):
-        params, drift, diffusion, scale = self._model(mass, omega, gamma)
+        params = OscillatorParams(omega=omega, gamma=gamma)
+        drift, diffusion = drift_and_diffusion(params, BATH, mass)
         initial = figure_initial(displacement=(0.3, -0.4, 0.5, 0.2))
         record = evolve_coupled(initial, params, BATH, times)
-        mean, cov = initial.mean / scale, initial.cov / np.outer(scale, scale)
-        return drift, diffusion, mean, cov, record.means / scale, record.covs / np.outer(scale, scale)
+        return drift, diffusion, initial.mean, initial.cov, record.means, record.covs
 
     def test_matches_van_loan_map(self, mass, omega, gamma):
         # bounds by time (mean, covariance): the oracle's doublings gather rounding
@@ -466,6 +448,13 @@ class TestIntervalDetection:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             backflow_intervals([0, 1, 2], [0.1, 0.2])
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+    def test_tolerance_must_be_nonnegative(self, tol):
+        # a negative tolerance reads a flat step as both a drop and a rise
+        for detect in (backflow_intervals, rising_intervals):
+            with pytest.raises(ValueError, match="tol must be nonnegative"):
+                detect([0, 1, 2], [0.5, 0.5, 0.5], tol)
 
 
 class TestEvolutionRecord:
