@@ -96,6 +96,26 @@ def _point_error(message: str, index, times=None, error: type = ValueError) -> E
     return exc
 
 
+def _require_finite(times, *stacks) -> None:
+    """ValueError naming the first point at which a stack, one entry per point along axis 0, is not finite."""
+    if not all(np.isfinite(stack).all() for stack in stacks):
+        good = np.logical_and.reduce([np.isfinite(stack).reshape(len(stack), -1).all(axis=1) for stack in stacks])
+        raise _point_error("moments must be finite", np.argmax(~good), times)
+
+
+def _require_floor(blocks, times=None) -> None:
+    """UnphysicalStateError naming the first point, then its first mode, of the 2x2 blocks
+    (n, modes, 2, 2) with nu < 1 - PHYSICALITY_SLACK; nu is taken of blocks scaled as in the kernels."""
+    unit = _power_scale(blocks)
+    with np.errstate(over="ignore", invalid="ignore"):  # a trace past the floats is far above the floor
+        nus = _nu(blocks * np.expand_dims(unit, (-2, -1))) / unit  # (n, modes)
+    low = nus < 1.0 - PHYSICALITY_SLACK
+    if low.any():
+        i, mode = np.argwhere(low)[0]  # row-major: the first failing point, then its first failing mode
+        message = f"mode {mode + 1} has nu = {nus[i, mode]:.6g} < 1"
+        raise _point_error(message, i, times, UnphysicalStateError)
+
+
 def validate_moments(means, covs, times=None) -> np.ndarray:
     """GaussianState's checks over stacks (n, 2N) and (n, 2N, 2N); returns covs symmetrized.
 
@@ -104,9 +124,7 @@ def validate_moments(means, covs, times=None) -> np.ndarray:
     the first failing point, by its time when times is given, and carry
     its position in the stack as ``index``."""
 
-    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
-        bad = ~(np.isfinite(means).all(axis=-1) & np.isfinite(covs).all(axis=(-2, -1)))
-        raise _point_error("moments must be finite", np.argmax(bad), times)
+    _require_finite(times, means, covs)
     transposed = np.swapaxes(covs, -1, -2)
     gap = np.abs(covs - transposed)
     if gap.max() > 1e-12:  # below that no point fails, each scale being at least 1
@@ -119,14 +137,7 @@ def validate_moments(means, covs, times=None) -> np.ndarray:
     except np.linalg.LinAlgError:  # named: the first point with an eigenvalue <= 0
         first = np.argmax(np.linalg.eigvalsh(covs)[..., 0] <= 0)
         raise _point_error("covariance must be positive definite", first, times)
-    blocks = np.stack([covs[..., i : i + 2, i : i + 2] for i in range(0, covs.shape[-1], 2)], axis=-3)
-    with np.errstate(over="ignore", invalid="ignore"):  # a determinant past the floats is far above the floor
-        nus = _nu(blocks)  # (n, modes)
-    low = nus < 1.0 - PHYSICALITY_SLACK
-    if low.any():
-        i, mode = np.argwhere(low)[0]  # row-major: the first failing point, then its first failing mode
-        message = f"mode {mode + 1} has nu = {nus[i, mode]:.6g} < 1"
-        raise _point_error(message, i, times, UnphysicalStateError)
+    _require_floor(np.stack([covs[..., i : i + 2, i : i + 2] for i in range(0, covs.shape[-1], 2)], axis=-3), times)
     return covs
 
 
@@ -186,14 +197,21 @@ def moment_coherence(mean, cov):
     delta = nbar - m = (|d|^2 + ((s11 - s22)^2 + 4 s12^2)/(tr sigma + 2 nu))/4,
     free of the cancellation tr sigma - 2 nu, the difference is
     [(m + 1) log1p(delta/(m + 1)) - m log1p(delta/m) + delta log1p(1/(m + delta))] / ln 2,
-    whose m = 0 and delta = 0 terms are exactly 0.
+    whose m = 0 and delta = 0 terms are exactly 0.  Past m = 4.5 the first two
+    terms, which cancel to about 1e-16 m, are taken as the integral over [m, m + 1]
+    of log1p(delta/s) - delta/(s + delta) by 8-point Gauss-Legendre.  Where
+    |d|^2 passes the floats, :func:`_far_coherence` takes over.
     """
-    s11, s12, s22 = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
     unit = _power_scale(cov)  # det sigma may pass the floats where nu does not: nu of the scaled block
-    nu = np.maximum(_nu((cov.T * unit).T) / unit, 1.0)
+    scaled = (cov.T * unit).T
+    s11, s12, s22 = scaled[..., 0, 0], scaled[..., 0, 1], scaled[..., 1, 1]
+    nu = np.maximum(_nu(scaled) / unit, 1.0)
     m = 0.5 * (nu - 1.0)
-    spread = (s11 - s22) ** 2 + 4.0 * s12 * s12
-    delta = 0.25 * (np.sum(np.square(mean), axis=-1) + spread / (s11 + s22 + 2.0 * nu))
+    spread = ((s11 - s22) ** 2 + 4.0 * s12 * s12) / (s11 + s22 + 2.0 * nu * unit) / unit
+    with np.errstate(over="ignore"):
+        square = np.sum(np.square(mean), axis=-1)
+    far = square == np.inf
+    delta = 0.25 * (np.where(far, 0.0, square) + spread)
     ratio = np.divide(delta, m, out=np.zeros_like(delta), where=m > 0.0)
     x = m + delta
     near = x < 1.0  # there 1/x may overflow: log1p(1/x) = log1p(x) - log(x), with no cancellation
@@ -201,11 +219,34 @@ def moment_coherence(mean, cov):
     logs = np.log(x, out=np.zeros_like(delta), where=near & (delta > 0.0))
     excess = np.where(near, np.log1p(x) - logs, np.log1p(inverse))  # log1p(1/x), times delta below
     pair = (m + 1.0) * np.log1p(delta / (m + 1.0)) - m * np.log1p(ratio)
-    if np.any(m > 100.0):  # pair's terms cancel to 1e-16 m; 3-point Gauss-Legendre of its integral over [m, m + 1]
-        mid, h = np.maximum(m, 100.0) + 0.5, math.sqrt(0.15)
-        gauss = sum(w * (np.log1p(delta / s) - delta / (s + delta)) for s, w in ((mid - h, 5), (mid, 8), (mid + h, 5)))
-        pair = np.where(m > 100.0, gauss / 18.0, pair)
-    return np.maximum((pair + delta * excess) / math.log(2.0), 0.0)
+    if np.any(m > 4.5):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(8)
+        s = np.maximum(m, 4.5)[..., None] + 0.5 * (nodes + 1.0)
+        step = delta[..., None]
+        pair = np.where(m > 4.5, 0.5 * np.sum(weights * (np.log1p(step / s) - step / (s + step)), axis=-1), pair)
+    nats = pair + delta * excess
+    if np.any(far):
+        nats = np.where(far, _far_coherence(0.5 * np.hypot(mean[..., 0], mean[..., 1]), m, spread), nats)
+    return np.maximum(nats / math.log(2.0), 0.0)
+
+
+def _far_coherence(half, m, spread):
+    """moment_coherence in nats where |d|^2 passes the floats, from half = |d|/2 > 2^511.
+
+    Then nbar = m + delta >= 2^1022, so S_th(nbar) = log(nbar) + 1 to rounding and
+    log(nbar) = 2 log(half) + log1p((m + spread/4) / half^2).  Below m = 2^40 the
+    coherence is log(nbar) + 1 - S_th(m), with log(nbar) > 708 and S_th(m) < 30.  From
+    there on it is log1p(delta/m) - [(m + 1) log1p(1/m) - 1], the bracket below 2^-41,
+    with delta/m = r^2 + spread/(4m), r = half/sqrt(m), read as 2 log(r) past r = 2^500.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the branches np.where drops
+        total = 2.0 * np.log(half) + np.log1p((m + 0.25 * spread) / half / half)
+        entropy = np.log1p(m) + np.where(m > 0.0, m * np.log1p(1.0 / m), 0.0)  # S_th(m)
+        r = half / np.sqrt(m)
+        ratio_log = np.where(r < 2.0**500, np.log1p(r * r + 0.25 * spread / m), 2.0 * np.log(r))
+        return np.where(m < 2.0**40, total + 1.0 - entropy, ratio_log - ((m + 1.0) * np.log1p(1.0 / m) - 1.0))
 
 
 def coherence(state: GaussianState) -> float:

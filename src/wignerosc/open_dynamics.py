@@ -9,9 +9,13 @@ it at Gamma (2 mbar + 1), and A = I (x) omega J + C (x) I splits into
 commuting parts, C = [[-Gamma/2, gamma], [-gamma, 0]].  So, at every time
 at once,
 
-    E(t) = e^{Ct} (x) R(omega t),  sigma(t) = E (sigma(0) - sigma_inf) E^T + sigma_inf,  d(t) = E d(0),
+    E(t) = e^{Ct} (x) R(omega t),  sigma(t) = E sigma(0) E^T + (2 mbar + 1) M(t) (x) I,  d(t) = E d(0),
 
-with the thermal steady state sigma_inf = (2 mbar + 1) I for every gamma.
+with M(t) = I - e^{Ct} e^{C^T t} = Gamma int_0^t e^{Cs} P_1 e^{C^T s} ds, P_1 = diag(1, 0).
+C + C^T = -Gamma P_1 <= 0 makes e^{Ct} a contraction, so M(t) >= 0, and the
+map then takes every physical sigma(0) to a physical sigma(t): evolve_coupled
+checks M(t) >= 0, a 2x2 certificate, in place of each 4x4 state.  The steady
+state is the thermal (2 mbar + 1) I for every gamma.
 Intervals where the mode-1 fidelity to that state decreases flag information
 flowing back from mode 2, the standard witness of non-Markovian behavior.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +32,10 @@ from .fock_dynamics import OscillatorParams
 from .gaussian_states import (
     GaussianState,
     ThermalBath,
+    UnphysicalStateError,
     _point_error,
+    _require_finite,
+    _require_floor,
     moment_coherence,
     moment_fidelity,
     validate_moments,
@@ -44,27 +52,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvolutionRecord:
-    """Time series of a coupled dissipative run: the two-mode moments
-    means (n, 4) and covs (n, 4, 4) at each time, the reduced mode-1
-    fidelity to the bath's asymptotic thermal state and coherence tracks,
-    and the maximal stretches where that fidelity decreases."""
+    """Time series of a coupled dissipative run: the two-mode means (n, 4) at each
+    time, the reduced mode-1 fidelity to the bath's asymptotic thermal state and
+    coherence tracks, the maximal stretches where that fidelity decreases, and
+    the run's initial state, coupling and bath, from which the covariances
+    (n, 4, 4) are built on first access."""
 
     times: np.ndarray
     means: np.ndarray
-    covs: np.ndarray
     fidelity_track: np.ndarray
     coherence_track: np.ndarray
+    initial: GaussianState
+    params: OscillatorParams
+    bath: ThermalBath
     backflow_intervals: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        for name in ("times", "means", "covs", "fidelity_track", "coherence_track"):
+        for name in ("times", "means", "fidelity_track", "coherence_track"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         n = self.times.size
-        shapes = [a.shape for a in (self.means, self.covs, self.fidelity_track, self.coherence_track)]
-        if shapes != [(n, 4), (n, 4, 4), (n,), (n,)]:
+        if [a.shape for a in (self.means, self.fidelity_track, self.coherence_track)] != [(n, 4), (n,), (n,)]:
             raise ValueError("moments and tracks must hold one entry per time")
+        if self.initial.modes != 2:
+            raise ValueError("initial state must have two modes")
+
+    @cached_property
+    def covs(self) -> np.ndarray:
+        """E sigma(0) E^T + (2 mbar + 1) M (x) I at each time, (n, 4, 4), through validate_moments."""
+        (f11, f12, f22), (m11, m12, m22) = _exchange(self.bath.decay_rate, self.params.gamma, self.times)
+        cos, sin = _turn(self.params.omega, self.times)
+        flow = np.stack([f11, f12, -f12, f22], axis=-1).reshape(-1, 2, 2)
+        turn = np.stack([cos, sin, -sin, cos], axis=-1).reshape(-1, 2, 2)
+        noise = np.stack([m11, m12, m12, m22], axis=-1).reshape(-1, 2, 2)
+        gen = (flow[:, :, None, :, None] * turn[:, None, :, None, :]).reshape(-1, 4, 4)  # e^{Ct} (x) R
+        asymptote = 2.0 * self.bath.mean_occupation + 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by validate_moments
+            covs = np.einsum("nij,jk,nlk->nil", gen, self.initial.cov, gen, optimize=True)
+            covs += asymptote * (noise[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(-1, 4, 4)  # M (x) I
+        return validate_moments(self.means, covs, self.times)
 
     @property
     def states(self) -> list[GaussianState]:
@@ -88,14 +115,27 @@ def thermalize_closed_form(state: GaussianState, bath: ThermalBath, t: float) ->
     return GaussianState(math.sqrt(decay) * state.mean, decay * state.cov + (1.0 - decay) * target)
 
 
-def _exchange_flow(rate: float, gamma: float, t: np.ndarray) -> np.ndarray:
-    """e^{Ct} = even(t) I + odd(t) B at the times t, (n, 2, 2), with B = C + Gamma/4.
+def _turn(omega: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of omega t: R(omega t) = [[cos, sin], [-sin, cos]] turns each mode plane."""
+    return np.cos(omega * t), np.sin(omega * t)
 
-    B^2 = -kappa^2, kappa^2 = (|gamma| - Gamma/4)(|gamma| + Gamma/4) taken as a product of
-    square roots.  Above the exceptional point |gamma| = Gamma/4, even = e^{-Gamma t/4} cos(kappa t)
-    and odd = e^{-Gamma t/4} sin(kappa t)/kappa; at it, even = e^{-Gamma t/4} and odd = t even.
-    Below it, with k = |kappa|, cosh and sinh are written in e^{-at} and e^{-at} e^{-2kt},
+
+def _exchange(rate: float, gamma: float, t: np.ndarray):
+    """e^{Ct} = [[f11, f12], [-f12, f22]] and M(t) = I - e^{Ct} e^{C^T t} = [[m11, m12], [m12, m22]]
+    at the times t, as ((f11, f12, f22), (m11, m12, m22)).
+
+    e^{Ct} = even(t) I + odd(t) B with B = C + Gamma/4, B^2 = -kappa^2, kappa^2 =
+    (|gamma| - Gamma/4)(|gamma| + Gamma/4) taken as a product of square roots.  Above the
+    exceptional point |gamma| = Gamma/4, even = e^{-Gamma t/4} cos(kappa t) and odd =
+    e^{-Gamma t/4} sin(kappa t)/kappa; at it, even = e^{-Gamma t/4} and odd = t even.  Below
+    it, with k = |kappa|, cosh and sinh are written in e^{-at} and e^{-at} e^{-2kt},
     a = Gamma/4 - k = gamma^2/(Gamma/4 + k), so no factor grows.
+
+    The first column of e^{Ct} is (o', -gamma o), o = odd, so M = Gamma int_0^t of its outer
+    square: M12 = -Gamma gamma o^2 / 2, M22 = Gamma G with G = gamma^2 int o^2
+    (:func:`_coupled_energy`), and, as o'' + (Gamma/2) o' + gamma^2 o = 0, M11 = Gamma int o'^2
+    = Gamma (G + even odd).  These carry the factors Gamma and gamma and are exact at t = 0.
+    Where 1 - |row|^2 of e^{Ct} is at least 1/2 it has no cancellation, and gives M11 or M22.
     """
     quarter, g = rate / 4.0, abs(gamma)
     if g > quarter:
@@ -109,8 +149,59 @@ def _exchange_flow(rate: float, gamma: float, t: np.ndarray) -> np.ndarray:
         slow = np.exp(-g * (g / (quarter + k)) * t)
         gap = np.expm1(-2.0 * k * t)  # e^{-2kt} - 1
         even, odd = slow * (1.0 + 0.5 * gap), slow * (-0.5 / k) * gap
-    flow = [even - quarter * odd, gamma * odd, -gamma * odd, even + quarter * odd]
-    return np.stack(flow, axis=-1).reshape(-1, 2, 2)
+    f11, f12, f22 = even - quarter * odd, gamma * odd, even + quarter * odd
+    row1, row2 = 1.0 - f11 * f11 - f12 * f12, 1.0 - f12 * f12 - f22 * f22  # 1 - |row i|^2
+    energy = np.zeros_like(t)
+    need = (row1 < 0.5) | (row2 < 0.5)
+    energy[need] = _coupled_energy(quarter, g, t[need])
+    m11 = np.where(row1 >= 0.5, row1, rate * (energy + even * odd))
+    m22 = np.where(row2 >= 0.5, row2, rate * energy)
+    return (f11, f12, f22), (m11, -0.5 * rate * f12 * odd, m22)
+
+
+_SERIES_TERMS = 27  # m = 0..26: the terms fall by 4 or more each
+_RECURRENCE_TOP = 70  # started from J_70 = 0: for x < 12 that moves J_2 > 1e-3 by at most x^68/71! < 3e-29
+_INVERSE_FACTORIALS = [1.0 / math.factorial(n + 1) for n in range(_RECURRENCE_TOP)]
+
+
+def _coupled_energy(quarter: float, g: float, t: np.ndarray) -> np.ndarray:
+    """G = g^2 int_0^t o(s)^2 ds for the odd part o of e^{Ct}, g = |gamma|, at the times t.
+
+    With k = |kappa| and o = e^{-qs} sinh(ks)/k (sin for kappa real), q = Gamma/4:
+    where k >= q/2 and k t >= 1 the closed form of the regime, each of its terms at
+    most about 10 times G; elsewhere the series
+    G = 2 (g t)^2 t sum_m (+-(2kt)^2)^m J_{2m+2}(2qt), J_n(x) = int_0^1 v^n e^{-xv} dv / n!,
+    the sign + below the exceptional point.  Its terms fall by 4 or more each, and J_n
+    comes from the downward recurrence J_n = e^{-x}/(n + 1)! + x J_{n+1}, which adds
+    positive terms only.  _exchange asks for G only where M11 or M22 < 1/2, and there
+    the series points have x = 2qt < 12.
+    """
+    k = math.sqrt(abs(g - quarter)) * math.sqrt(g + quarter)
+    under = g > quarter
+    out = np.empty_like(t)
+    closed = (k >= 0.5 * quarter) & (k * t >= 1.0)
+    tc, ts = t[closed], t[~closed]
+    if tc.size:
+
+        def flat(c):  # int_0^t e^{-cs} ds
+            return tc if c == 0.0 else -np.expm1(-c * tc) / c
+
+        if under:  # (g/k)^2 (flat(2q) - Re int_0^t e^{-(2q - 2ik)s} ds) / 2
+            decay, sin, cos = np.exp(-2.0 * quarter * tc), np.sin(k * tc), np.cos(k * tc)  # 2kt may overflow
+            wave = (0.5 * (quarter / g) * (1.0 - decay * (cos - sin) * (cos + sin)) + (k / g) * decay * sin * cos) / g
+            out[closed] = 0.5 * (g / k) ** 2 * (flat(2.0 * quarter) - wave)
+        else:  # eigenvalues -a and -b of C: o = (e^{-as} - e^{-bs}) / (2k)
+            b = quarter + k
+            out[closed] = (g / (2.0 * k)) ** 2 * (flat(2.0 * g * (g / b)) - 2.0 * flat(2.0 * quarter) + flat(2.0 * b))
+    if ts.size:
+        x, w = 2.0 * quarter * ts, 4.0 * (k * ts) ** 2 * (-1.0 if under else 1.0)
+        damp, rise, total = np.exp(-x), np.zeros_like(ts), np.zeros_like(ts)
+        for n in range(_RECURRENCE_TOP - 1, 1, -1):
+            rise = damp * _INVERSE_FACTORIALS[n] + x * rise  # J_n
+            if n % 2 == 0 and n <= 2 * _SERIES_TERMS:
+                total = total * w + rise  # Horner in w = +-(2kt)^2
+        out[~closed] = 2.0 * (g * ts) ** 2 * ts * total
+    return out
 
 
 def evolve_coupled(
@@ -118,12 +209,15 @@ def evolve_coupled(
 ) -> EvolutionRecord:
     """Propagate the coupled dissipative dynamics exactly over the requested grid.
 
-    The moments come from the closed form of the module docstring; every
-    state must pass GaussianState's checks.  The tracks, the reduced mode-1
-    fidelity to the reservoir's asymptotic thermal state and the mode-1
-    coherence, are evaluated on the mode-1 moments in the frame turning
-    with R(omega t); a track value past the floats raises OverflowError
-    naming its time.
+    The means come from the closed form of the module docstring, and so do the
+    mode-1 moments in the frame turning with R(omega t): d1 = sum_k e_1k d_k(0)
+    and sigma_1 = sum_kl e_1k e_1l sigma_kl(0) + (2 mbar + 1) M11 I.  Each time is
+    checked: means and sigma_1 finite, nu_1 >= 1 - PHYSICALITY_SLACK, and M(t) >= 0,
+    which with the physical initial state makes the two-mode state physical; the
+    record builds and validates the 4x4 covariances only when they are read.  The
+    tracks, the reduced mode-1 fidelity to the reservoir's asymptotic thermal state
+    and the mode-1 coherence, come from d1 and sigma_1; a track value past the
+    floats raises OverflowError naming its time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
@@ -135,29 +229,36 @@ def evolve_coupled(
         raise OverflowError("the asymptotic variance 2 mbar + 1 leaves the floats")
 
     # moments that leave the floats, with a phase kappa t or omega t among them, are reported
-    # once, by validate_moments below
+    # once, by _require_finite below
     with np.errstate(over="ignore", invalid="ignore"):
-        flow = _exchange_flow(bath.decay_rate, params.gamma, t_grid)
-        excess = initial.cov - asymptote * np.eye(4)  # sigma(0) - sigma_inf
-        cos, sin = np.cos(params.omega * t_grid), np.sin(params.omega * t_grid)
-        turn = np.stack([cos, sin, -sin, cos], axis=-1).reshape(-1, 2, 2)
-        gen = (flow[:, :, None, :, None] * turn[:, None, :, None, :]).reshape(-1, 4, 4)  # E = e^{Ct} (x) R
-        means = (gen.reshape(-1, 4) @ initial.mean).reshape(-1, 4)
-        covs = np.einsum("nij,jk,nlk->nil", gen, excess, gen, optimize=True) + asymptote * np.eye(4)
-    covs = validate_moments(means, covs, t_grid)
+        (f11, f12, f22), (m11, m12, m22) = _exchange(bath.decay_rate, params.gamma, t_grid)
+        mean1 = np.stack([f11, f12], axis=-1) @ initial.mean.reshape(2, 2)  # in the frame turning with R
+        # d(t) = (e^{Ct} (x) R) d(0), with R d = cos d + sin J d and J (q, p) = (p, -q) in each mode
+        cos, sin = _turn(params.omega, t_grid)
+        d1, d2 = initial.mean[:2], initial.mean[2:]
+        j1, j2 = d1[::-1] * [1.0, -1.0], d2[::-1] * [1.0, -1.0]
+        weights = np.stack([f11 * cos, f11 * sin, f12 * cos, f12 * sin, f22 * cos, f22 * sin], axis=-1)
+        means = weights @ np.block([[d1, 0 * d1], [j1, 0 * j1], [d2, -d1], [j2, -j1], [0 * d2, d2], [0 * j2, j2]])
+        # sigma_1 = f11^2 sigma_11(0) + f11 f12 (sigma_12(0) + sigma_21(0)) + f12^2 sigma_22(0) + (2 mbar + 1) m11 I
+        s0 = initial.cov
+        blocks = np.array([s0[:2, :2].ravel(), (s0[:2, 2:] + s0[2:, :2]).ravel(), s0[2:, 2:].ravel()])
+        cov1 = (np.stack([f11 * f11, f11 * f12, f12 * f12], axis=-1) @ blocks).reshape(-1, 2, 2)
+        cov1[:, 0, 0] += asymptote * m11
+        cov1[:, 1, 1] += asymptote * m11
+    _require_finite(t_grid, means, cov1, m11, m12, m22)
+    _require_floor(cov1[:, None], t_grid)
+    uncertified = ~((m11 >= 0.0) & (m22 >= 0.0) & (np.abs(m12) <= np.sqrt(m11.clip(0.0)) * np.sqrt(m22.clip(0.0))))
+    if uncertified.any():
+        message = "the bath's M(t) is not positive semidefinite"
+        raise _point_error(message, np.argmax(uncertified), t_grid, UnphysicalStateError)
 
-    # mode 1 in the turning frame: d1 = sum_k e_1k d_k, sigma_1 = sum_kl e_1k e_1l Delta_kl + sigma_inf
-    row = flow[:, 0]
-    mean1 = row @ initial.mean.reshape(2, 2)
-    blocks = excess.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)  # row kl holds Delta_kl
-    cov1 = ((row[:, :, None] * row[:, None, :]).reshape(-1, 4) @ blocks).reshape(-1, 2, 2) + asymptote * np.eye(2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below, at the first time
         fid = moment_fidelity(mean1, cov1, np.zeros(2), asymptote * np.eye(2))
         coh = moment_coherence(mean1, cov1)
     bad = ~(np.isfinite(fid) & np.isfinite(coh))
     if bad.any():
         raise _point_error("the fidelity and coherence tracks leave the floats", np.argmax(bad), t_grid, OverflowError)
-    return EvolutionRecord(t_grid, means, covs, fid, coh, backflow_intervals(t_grid, fid))
+    return EvolutionRecord(t_grid, means, fid, coh, initial, params, bath, backflow_intervals(t_grid, fid))
 
 
 def _monotone_violations(times, track, tol: float, rising: bool) -> list[tuple[float, float]]:

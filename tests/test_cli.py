@@ -93,7 +93,7 @@ class TestQuery:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("params,code,printed", [
         (["eigen", "k=1", "l=0", "gamma=1e308", "hbar=10"], 3, ""),  # hbar * gamma overflows
-        (["coherence", "nbar=0", "d=1e200,0"], 3, ""),  # |d|^2 overflows, the entropy is nan
+        (["coherence", "nbar=0", "d=1e200,0"], 0, "1328.213933 bits\n"),  # |d|^2 passes the floats; see below
         (["coherence", "nbar=0", "d=1e-154,0"], 0, "2.56649137067e-306 bits\n"),  # 1 / (|d|^2 / 4) overflows
         (["fidelity", "d1=1e200,0"], 0, "0\n"),  # the overlap underflows to its true value
         (["eigen", f"k={10**400}"], 3, ""),  # an integer too large for a float
@@ -113,6 +113,25 @@ class TestQuery:
                 assert (f"({key} = 1e+308)" in err) == (f"{key}=1e308" in params)
         else:
             assert err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nbar,d", [("0", "1e200,0"), ("1e3", "3e250,-4e250"), ("1e20", "1e155,0")])
+    def test_far_displacement_coherence_against_mpmath(self, nbar, d, capsys):
+        # |d|^2 passes the floats, so the kernel takes log nbar_total from log(|d|/2); the reference is
+        # S_th(nbar_total) - S_th(nbar) in bits, whose terms near 1e600 log(1e600) need 700 digits
+        import mpmath as mp
+
+        assert main(["query", "coherence", f"nbar={nbar}", f"d={d}"]) == 0
+        value = float(capsys.readouterr().out.split()[0])
+        with mp.workdps(700):
+            m = mp.mpf(nbar)
+            total = m + sum(mp.mpf(part) ** 2 for part in d.split(",")) / 4
+
+            def entropy(x):
+                return (x + 1) * mp.log(x + 1, 2) - (x * mp.log(x, 2) if x > 0 else 0)
+
+            exact = float(entropy(total) - entropy(m))
+        assert value == pytest.approx(exact, rel=1e-11)
 
     def test_unknown_key_exits_2(self, capsys):
         assert main(["query", "eigen", "bogus=1"]) == 2
@@ -417,11 +436,15 @@ class TestFig3Command:
         )
         assert not out.exists()
 
-    # Inputs that overflowed: the step maps at gamma = 1e300, for which the closed form is exact, and
-    # det sigma_1 at nbar = 1e200, which the kernels take of blocks scaled by a power of two
-    # (tests/test_fig3_certification.py checks that run against a 450-digit reference)
+    # Inputs that overflowed: the step maps at gamma = 1e300, for which the closed form is exact,
+    # det sigma_1 at nbar = 1e200, which the kernels take of blocks scaled by a power of two, and
+    # sigma(0) - sigma_inf + sigma_inf at mbar = 1e200, which lost sigma(0) (not positive definite at t = 0)
+    # (tests/test_fig3_certification.py checks the last two runs against high-precision references)
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("sets", [["physics.gamma=1e300"], ["physics.nbar=1e200"]], ids=["gamma=1e300", "nbar=1e200"])
+    @pytest.mark.parametrize(
+        "sets", [["physics.gamma=1e300"], ["physics.nbar=1e200"], ["physics.mbar=1e200"]],
+        ids=["gamma=1e300", "nbar=1e200", "mbar=1e200"],
+    )
     def test_former_overflows_run(self, sets, tmp_path):
         out = tmp_path / "f.csv"
         assert main(["fig3", "--out", str(out), *[f for key in sets for f in ("--set", key)], *FAST_FIG3]) == 0

@@ -73,3 +73,32 @@ def test_huge_occupation_against_high_precision_van_loan(monkeypatch):
     for name, index in (("fidelity", 0), ("coherence_raw", 1)):
         worst = max(abs(got / float(want[index]) - 1) for got, want in zip(columns[name], tracks))
         assert worst < 1e-13, (name, worst)
+
+
+@pytest.mark.parametrize("mbar,digits", [(1e17, 80), (1e200, 500)], ids=["mbar=1e17", "mbar=1e200"])
+def test_huge_bath_occupation_against_high_precision_van_loan(mbar, digits, monkeypatch):
+    # sigma(t) = E sigma(0) E^T + (2 mbar + 1) M (x) I keeps sigma(0) = 4 I at t = 0, which the former
+    # E (sigma(0) - sigma_inf) E^T + sigma_inf lost from mbar = 1e17 on; the fidelity to (2 mbar + 1) I
+    # is 2 / (sqrt(Delta + delta) - sqrt(delta)) with delta near (2 mbar)^4, so the reference carries
+    # 2 log10(2 mbar) and 40 digits more.  Q is linear in the diffusion, so the reference takes Van Loan's
+    # Phi sigma(0) Phi^T with no diffusion, to 40 digits, and adds 2 mbar + 1 times its Q at unit occupation
+    # variance, to all the digits, since the coherence comes of tr sigma_1 / 2 - nu_1 for an isotropic sigma_1
+    columns = run_fig3(resolve_config("fig3", None, [f"physics.mbar={mbar!r}", "numeric.t_step=1"]), GAMMA)["columns"]
+    times = columns["t"] / RATE
+    assert times.size == 7
+    zero = [[0] * 4 for _ in range(4)]
+    unit = [[RATE if i == j < 2 else 0 for j in range(4)] for i in range(4)]
+    cov = [[4 if i == j else 0 for j in range(4)] for i in range(4)]  # adjusted: nbar = 2 at d = (1, 1)
+    monkeypatch.setattr(oracles, "DIGITS", 40)
+    carried = oracles.van_loan_moments_mp(DRIFT, zero, [1.0] * 4, cov, times)
+    monkeypatch.setattr(oracles, "DIGITS", digits)
+    noise = oracles.van_loan_moments_mp(DRIFT, unit, [0.0] * 4, zero, times)
+    with mp.workdps(digits):
+        variance = 2 * mp.mpf(mbar) + 1
+        tracks = [
+            oracles.mode_tracks_mp(mean[:2], (moments + variance * q)[:2, :2].tolist(), variance)
+            for (mean, moments), (_, q) in zip(carried, noise)
+        ]
+    for name, index in (("fidelity", 0), ("coherence_raw", 1)):
+        worst = max(abs(got / float(want[index]) - 1) for got, want in zip(columns[name], tracks))
+        assert worst < 1e-13, (name, worst)

@@ -183,6 +183,20 @@ class TestCoherence:
                 exact = ((n + 1) * mp.log(n + 1) - n * mp.log(n) - (m + 1) * mp.log(m + 1) + m * mp.log(m)) / mp.log(2)
             assert coherence(state) == pytest.approx(float(exact), rel=1e-13, abs=1e-300)
 
+    @pytest.mark.parametrize("nbar", [10.0, 49.0, 99.0])
+    def test_displaced_thermal_against_mpmath(self, nbar, monkeypatch):
+        # (m + 1) log1p(delta/(m + 1)) - m log1p(delta/m) cancels to about 1e-16 m of the coherence, which
+        # past m = 4.5 the kernel takes as an integral over [m, m + 1]; the reference's entropies reach
+        # 1e17 at d = 1e8 and differ by 1e-9 at d = 1e-3, so it takes 60 digits
+        monkeypatch.setattr(oracles, "DIGITS", 60)
+        cov = (2 * nbar + 1) * np.eye(2)
+        worst = 0.0
+        for d in np.geomspace(1e-3, 1e8, 23):
+            mean = np.array([0.6 * d, 0.8 * d])
+            exact = oracles.mode_tracks_mp(mean, cov, 1.0)[1]
+            worst = max(worst, abs(moment_coherence(mean, cov) / float(exact) - 1.0))
+        assert worst < 5e-15
+
     def test_displaced_thermal_value(self):
         state = GaussianState([1.0, 1.0], 4.0 * np.eye(2))
         expected = (3 * math.log2(3) - 2 * math.log2(2)) - (

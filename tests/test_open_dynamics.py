@@ -3,10 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from wignerosc import open_dynamics
 from wignerosc.fock_dynamics import OscillatorParams
 from wignerosc.gaussian_states import (
+    PHYSICALITY_SLACK,
     GaussianState,
     ThermalBath,
     UnphysicalStateError,
@@ -162,6 +166,20 @@ class TestOutOfRange:
         with pytest.raises(ValueError, match="moments must be finite at t = 2.5$") as info:
             evolve_coupled(initial, params, ThermalBath(0.0, 1.0), 0.5 * np.arange(11))
         assert info.value.index == 5
+
+
+    def test_uncertified_noise_is_named(self, monkeypatch):
+        # M(t) = I - e^{Ct} e^{C^T t} >= 0 holds exactly; a value that rounding took below it is named by its time
+        exchange = open_dynamics._exchange
+
+        def rounded(rate, gamma, t):
+            flow, (m11, m12, m22) = exchange(rate, gamma, t)
+            return flow, (m11, m12, np.where(t == 2.0, -1e-300, m22))
+
+        monkeypatch.setattr(open_dynamics, "_exchange", rounded)
+        with pytest.raises(UnphysicalStateError, match="M\\(t\\) is not positive semidefinite at t = 2$") as info:
+            evolve_coupled(figure_initial(), PARAMS, BATH, np.arange(4.0))
+        assert info.value.index == 2
 
 
 class TestEvolveCoupled:
@@ -426,6 +444,53 @@ class TestScaledModel:
             assert np.max(np.abs(covs[-1] - thermal)) < 1e-12
 
 
+@st.composite
+def damped_runs(draw):
+    """(params, bath, initial state): gamma exactly 0, exactly at the exceptional point Gamma/4, or drawn."""
+    rate = draw(st.floats(0.05, 2.0))
+    kind = draw(st.sampled_from(["none", "exceptional", "drawn"]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "none":
+        gamma = 0.0
+    elif kind == "exceptional":
+        gamma = sign * rate / 4.0
+    else:
+        gamma = sign * draw(st.floats(0.001, 2.0))
+    mbar, nbar = draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 10.0))
+    mean = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4)))
+    return OscillatorParams(gamma=gamma), ThermalBath(rate, mbar), GaussianState(mean, (2 * nbar + 1) * np.eye(4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(damped_runs())
+def test_closed_form_properties(run):
+    # the means, the 4x4 covariances built on access and the mode-1 tracks against scipy step maps composed
+    # by doubling and 30-digit tracks of those moments; then nu >= 1, 0 <= F <= 1 and F -> 1
+    params, bath, initial = run
+    times = np.array([0.0, 0.5, 3.0, 12.0]) / bath.decay_rate  # Gamma t
+    record = evolve_coupled(initial, params, bath, times)
+    validate_moments(record.means, record.covs)
+    drift, diffusion = drift_and_diffusion(params, bath)
+    variance = 2 * bath.mean_occupation + 1
+    for i, t in enumerate(times):
+        phi, noise = van_loan_doubled(drift, diffusion, t, max(0, math.ceil(math.log2(max(t, 0.05) / 0.05))))
+        mean, cov = phi @ initial.mean, phi @ initial.cov @ phi.T + noise
+        assert np.max(np.abs(record.means[i] - mean)) < 1e-10
+        assert np.max(np.abs(record.covs[i] - cov)) < 1e-10
+        fid, coh = oracles.mode_tracks_mp(mean[:2], cov[:2, :2].tolist(), variance)
+        assert abs(record.fidelity_track[i] - float(fid)) < 1e-10
+        assert abs(record.coherence_track[i] - float(coh)) < 1e-10
+    for cov in record.covs:
+        for j in (0, 2):
+            assert math.sqrt(np.linalg.det(cov[j : j + 2, j : j + 2])) >= 1.0 - PHYSICALITY_SLACK
+    assert np.all((record.fidelity_track >= 0.0) & (record.fidelity_track <= 1.0))
+    # the slowest decay of mode 1: Gamma / 2 without coupling, else the smallest rate of e^{Ct}
+    drift_c = np.array([[-bath.decay_rate / 2, params.gamma], [-params.gamma, 0.0]])
+    slowest = bath.decay_rate / 2 if params.gamma == 0.0 else min(-np.linalg.eigvals(drift_c).real)
+    late = evolve_coupled(initial, params, bath, np.array([0.0, 60.0 / slowest]))
+    assert late.fidelity_track[-1] == pytest.approx(1.0, abs=1e-9)
+
+
 class TestIntervalDetection:
     def test_monotone_track_is_clean(self):
         times = np.linspace(0, 5, 50)
@@ -458,20 +523,33 @@ class TestIntervalDetection:
 
 
 class TestEvolutionRecord:
+    GOOD = dict(
+        times=np.array([0.0, 1.0]),
+        means=np.zeros((2, 4)),
+        fidelity_track=np.zeros(2),
+        coherence_track=np.zeros(2),
+        initial=GaussianState(np.zeros(4), np.eye(4)),
+        params=PARAMS,
+        bath=BATH,
+    )
+
     def test_validation(self):
-        good = dict(
-            times=np.array([0.0, 1.0]),
-            means=np.zeros((2, 4)),
-            covs=np.array([np.eye(4)] * 2),
-            fidelity_track=np.zeros(2),
-            coherence_track=np.zeros(2),
-        )
+        good = self.GOOD
         assert len(EvolutionRecord(**good).states) == 2
         with pytest.raises(ValueError):
             EvolutionRecord(**{**good, "times": np.array([0.0, 0.0])})
         with pytest.raises(ValueError):
             EvolutionRecord(**{**good, "means": np.zeros((1, 4))})
         with pytest.raises(ValueError):
-            EvolutionRecord(**{**good, "covs": np.array([np.eye(2)] * 2)})
+            EvolutionRecord(**{**good, "initial": thermal_state(1.0)})
         with pytest.raises(ValueError):
             EvolutionRecord(**{**good, "fidelity_track": np.zeros(3)})
+
+    def test_covariances_are_validated_on_access(self):
+        record = EvolutionRecord(**{**self.GOOD, "means": np.array([np.zeros(4), np.full(4, np.nan)])})
+        with pytest.raises(ValueError, match="moments must be finite at t = 1$"):
+            record.covs
+        # the vacuum under the bath: sigma(t) = e^{Ct} e^{C^T t} (x) I + (2 mbar + 1) M (x) I, built once
+        record = EvolutionRecord(**self.GOOD)
+        assert record.covs is record.covs
+        assert np.array_equal(record.covs[0], np.eye(4))
