@@ -299,8 +299,6 @@ def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
             reason = f"{reason.partition(' at t = ')[0]} at t = {scaled[exc.index]:.6g}"
         raise NumericFailure(f"propagation at gamma = {gamma!r} failed: {reason}") from exc
     tol = float(cfg["numeric.backflow_tol"])
-    backflow = [(a * rate, b * rate) for a, b in backflow_intervals(record.times, record.fidelity_track, tol)]
-    rises = [(a * rate, b * rate) for a, b in rising_intervals(record.times, record.coherence_track, tol)]
     c0 = record.coherence_track[0]
     normalized = record.coherence_track / c0 if c0 > 0 else np.where(record.coherence_track == 0.0, 1.0, math.inf)
     return {
@@ -312,8 +310,8 @@ def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
         },
         "summary": {
             "gamma": gamma,
-            "backflow_intervals": backflow,
-            "coherence_rise_intervals": rises,
+            "backflow_intervals": backflow_intervals(scaled, record.fidelity_track, tol),
+            "coherence_rise_intervals": rising_intervals(scaled, record.coherence_track, tol),
         },
         "initial_state": state_to_record(initial),
     }
@@ -348,13 +346,7 @@ def _json_text(experiment: str, result: dict, cfg: dict[str, str]) -> str:
         "metadata": {"config": dict(sorted(cfg.items())), "version": __version__},
     }
     if "summary" in result:
-        payload["summary"] = {
-            "gamma": result["summary"]["gamma"],
-            "backflow_intervals": [[float(a), float(b)] for a, b in result["summary"]["backflow_intervals"]],
-            "coherence_rise_intervals": [
-                [float(a), float(b)] for a, b in result["summary"]["coherence_rise_intervals"]
-            ],
-        }
+        payload["summary"] = result["summary"]  # json writes the interval tuples as lists
     if "initial_state" in result:
         payload["metadata"]["initial_state"] = result["initial_state"]
     columns = ",\n".join(

@@ -83,9 +83,10 @@ def _nu(blocks):
     return np.sqrt(np.maximum(_det2(blocks), 0.0))
 
 
-def _power_scale(blocks):
-    """1 for 2x2 blocks with trace below 2^256, else the even power of two, exact to scale by, to [2^254, 2^256)."""
-    exponent = np.frexp(blocks[..., 0, 0] + blocks[..., 1, 1])[1]
+def _power_scale(*blocks):
+    """1 where the summed trace of the 2x2 blocks is below 2^256, else the even power of two, exact to scale
+    by, to [2^254, 2^256).  The trace is summed in quarters, so it stays finite to the top of the floats."""
+    exponent = np.frexp(sum(0.25 * b[..., 0, 0] + 0.25 * b[..., 1, 1] for b in blocks))[1] + 2
     return np.ldexp(1.0, -2 * np.maximum((exponent - 255) // 2, 0)) if np.any(exponent > 256) else 1.0
 
 
@@ -167,11 +168,13 @@ def moment_fidelity(mean1, cov1, mean2, cov2):
     The prefactor is 2 / (sqrt(Delta + delta) - sqrt(delta)) without the
     cancellation of that difference for mixed states, and sigma_+^-1 is
     its 2 x 2 adjugate over Delta.  Each block whose trace passes 2^256 is
-    scaled by a power of two first, so no determinant leaves the floats.
+    scaled by a power of two first, sigma_+ before its sum is formed, so no
+    sum or determinant leaves the floats.
     """
-    splus = cov1 + cov2
-    unit, unit1, unit2 = _power_scale(splus), _power_scale(cov1), _power_scale(cov2)  # 1/s of each block
-    splus, cov1, cov2 = (splus.T * unit).T, (cov1.T * unit1).T, (cov2.T * unit2).T  # each block times its unit
+    unit, unit1, unit2 = _power_scale(cov1, cov2), _power_scale(cov1), _power_scale(cov2)  # 1/s of each block
+    scale = np.expand_dims(unit, (-2, -1))
+    splus = cov1 * scale + cov2 * scale
+    cov1, cov2 = (cov1.T * unit1).T, (cov2.T * unit2).T  # each block times its unit
     big_delta = _det2(splus)  # Delta / s+^2
     small_delta = np.maximum((_det2(cov1) - unit1 * unit1) * (_det2(cov2) - unit2 * unit2), 0.0)  # 0 if pure
     ratio = (unit / unit1) * (unit / unit2)  # s1 s2 / s+^2; small_delta is delta / (s1 s2)^2

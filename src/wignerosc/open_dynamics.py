@@ -14,8 +14,10 @@ at once,
 with M(t) = I - e^{Ct} e^{C^T t} = Gamma int_0^t e^{Cs} P_1 e^{C^T s} ds, P_1 = diag(1, 0).
 C + C^T = -Gamma P_1 <= 0 makes e^{Ct} a contraction, so M(t) >= 0, and the
 map then takes every physical sigma(0) to a physical sigma(t): evolve_coupled
-checks M(t) >= 0, a 2x2 certificate, in place of each 4x4 state.  The steady
-state is the thermal (2 mbar + 1) I for every gamma.
+checks M(t) >= 0, a 2x2 certificate, in place of each 4x4 state, and computes
+only the mode-1 moments its tracks need; the record builds d(t) and sigma(t)
+from E when they are first read.  The steady state is the thermal
+(2 mbar + 1) I for every gamma.
 Intervals where the mode-1 fidelity to that state decreases flag information
 flowing back from mode 2, the standard witness of non-Markovian behavior.
 """
@@ -23,7 +25,7 @@ flowing back from mode 2, the standard witness of non-Markovian behavior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,46 +54,57 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvolutionRecord:
-    """Time series of a coupled dissipative run: the two-mode means (n, 4) at each
-    time, the reduced mode-1 fidelity to the bath's asymptotic thermal state and
-    coherence tracks, the maximal stretches where that fidelity decreases, and
-    the run's initial state, coupling and bath, from which the covariances
-    (n, 4, 4) are built on first access."""
+    """Time series of a coupled dissipative run: the reduced mode-1 fidelity to the
+    bath's asymptotic thermal state and coherence tracks, and the run's initial
+    state, coupling and bath, from which the two-mode means (n, 4) and covariances
+    (n, 4, 4) and the backflow intervals are derived on first access."""
 
     times: np.ndarray
-    means: np.ndarray
     fidelity_track: np.ndarray
     coherence_track: np.ndarray
     initial: GaussianState
     params: OscillatorParams
     bath: ThermalBath
-    backflow_intervals: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        for name in ("times", "means", "fidelity_track", "coherence_track"):
+        for name in ("times", "fidelity_track", "coherence_track"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        n = self.times.size
-        if [a.shape for a in (self.means, self.fidelity_track, self.coherence_track)] != [(n, 4), (n,), (n,)]:
-            raise ValueError("moments and tracks must hold one entry per time")
+        if not (self.times.ndim == 1 and np.isfinite(self.times).all() and np.all(np.diff(self.times) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
+        if self.fidelity_track.shape != self.times.shape or self.coherence_track.shape != self.times.shape:
+            raise ValueError("tracks must hold one entry per time")
         if self.initial.modes != 2:
             raise ValueError("initial state must have two modes")
 
     @cached_property
-    def covs(self) -> np.ndarray:
-        """E sigma(0) E^T + (2 mbar + 1) M (x) I at each time, (n, 4, 4), through validate_moments."""
-        (f11, f12, f22), (m11, m12, m22) = _exchange(self.bath.decay_rate, self.params.gamma, self.times)
-        cos, sin = _turn(self.params.omega, self.times)
-        flow = np.stack([f11, f12, -f12, f22], axis=-1).reshape(-1, 2, 2)
-        turn = np.stack([cos, sin, -sin, cos], axis=-1).reshape(-1, 2, 2)
-        noise = np.stack([m11, m12, m12, m22], axis=-1).reshape(-1, 2, 2)
-        gen = (flow[:, :, None, :, None] * turn[:, None, :, None, :]).reshape(-1, 4, 4)  # e^{Ct} (x) R
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """E d(0) and E sigma(0) E^T + (2 mbar + 1) M (x) I at each time, through validate_moments."""
         asymptote = 2.0 * self.bath.mean_occupation + 1.0
         with np.errstate(over="ignore", invalid="ignore"):  # reported by validate_moments
-            covs = np.einsum("nij,jk,nlk->nil", gen, self.initial.cov, gen, optimize=True)
-            covs += asymptote * (noise[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(-1, 4, 4)  # M (x) I
-        return validate_moments(self.means, covs, self.times)
+            (f11, f12, f22), (m11, m12, m22) = _exchange(self.bath.decay_rate, self.params.gamma, self.times)
+            cos, sin = np.cos(self.params.omega * self.times), np.sin(self.params.omega * self.times)
+            flow = np.stack([f11, f12, -f12, f22], axis=-1).reshape(-1, 2, 2)
+            turn = np.stack([cos, sin, -sin, cos], axis=-1).reshape(-1, 2, 2)  # R(omega t)
+            gen = np.einsum("nij,nkl->nikjl", flow, turn).reshape(-1, 4, 4)  # e^{Ct} (x) R
+            noise = np.stack([m11, m12, m12, m22], axis=-1).reshape(-1, 2, 2)
+            means = gen @ self.initial.mean
+            covs = gen @ self.initial.cov @ gen.transpose(0, 2, 1) + asymptote * np.kron(noise, np.eye(2))  # M (x) I
+        return means, validate_moments(means, covs, self.times)
+
+    @property
+    def means(self) -> np.ndarray:
+        """The two-mode means (n, 4), built with the covariances on first access."""
+        return self._moments[0]
+
+    @property
+    def covs(self) -> np.ndarray:
+        """The two-mode covariances (n, 4, 4), built with the means on first access."""
+        return self._moments[1]
+
+    @cached_property
+    def backflow_intervals(self) -> list[tuple[float, float]]:
+        """The maximal stretches where the fidelity track drops, at the default tolerance."""
+        return backflow_intervals(self.times, self.fidelity_track)
 
     @property
     def states(self) -> list[GaussianState]:
@@ -113,11 +126,6 @@ def thermalize_closed_form(state: GaussianState, bath: ThermalBath, t: float) ->
     decay = math.exp(-bath.decay_rate * t)
     target = (2.0 * bath.mean_occupation + 1.0) * np.eye(2)
     return GaussianState(math.sqrt(decay) * state.mean, decay * state.cov + (1.0 - decay) * target)
-
-
-def _turn(omega: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of omega t: R(omega t) = [[cos, sin], [-sin, cos]] turns each mode plane."""
-    return np.cos(omega * t), np.sin(omega * t)
 
 
 def _exchange(rate: float, gamma: float, t: np.ndarray):
@@ -209,43 +217,37 @@ def evolve_coupled(
 ) -> EvolutionRecord:
     """Propagate the coupled dissipative dynamics exactly over the requested grid.
 
-    The means come from the closed form of the module docstring, and so do the
-    mode-1 moments in the frame turning with R(omega t): d1 = sum_k e_1k d_k(0)
+    Only the tracks are computed: from the closed form of the module docstring,
+    the mode-1 moments in the frame turning with R(omega t), d1 = sum_k e_1k d_k(0)
     and sigma_1 = sum_kl e_1k e_1l sigma_kl(0) + (2 mbar + 1) M11 I.  Each time is
-    checked: means and sigma_1 finite, nu_1 >= 1 - PHYSICALITY_SLACK, and M(t) >= 0,
-    which with the physical initial state makes the two-mode state physical; the
-    record builds and validates the 4x4 covariances only when they are read.  The
+    checked: d1 and sigma_1 finite, nu_1 >= 1 - PHYSICALITY_SLACK, and M(t) >= 0,
+    which with the physical initial state makes the two-mode state physical.  The
     tracks, the reduced mode-1 fidelity to the reservoir's asymptotic thermal state
     and the mode-1 coherence, come from d1 and sigma_1; a track value past the
-    floats raises OverflowError naming its time.
+    floats raises OverflowError naming its time.  The record derives the two-mode
+    moments, validated, and the backflow intervals when they are first read.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be one-dimensional, start at 0 and increase strictly")
+    if not (t_grid.ndim == 1 and t_grid.size and t_grid[0] == 0.0 and np.isfinite(t_grid[-1])
+            and np.all(np.diff(t_grid) > 0)):
+        raise ValueError("t_grid must be one-dimensional and finite, start at 0 and increase strictly")
     if initial.modes != 2:
         raise ValueError("initial state must have two modes")
     asymptote = 2.0 * bath.mean_occupation + 1.0
     if not math.isfinite(asymptote):
         raise OverflowError("the asymptotic variance 2 mbar + 1 leaves the floats")
 
-    # moments that leave the floats, with a phase kappa t or omega t among them, are reported
-    # once, by _require_finite below
+    # moments that leave the floats, with a phase kappa t among them, are reported once, by _require_finite below
     with np.errstate(over="ignore", invalid="ignore"):
         (f11, f12, f22), (m11, m12, m22) = _exchange(bath.decay_rate, params.gamma, t_grid)
         mean1 = np.stack([f11, f12], axis=-1) @ initial.mean.reshape(2, 2)  # in the frame turning with R
-        # d(t) = (e^{Ct} (x) R) d(0), with R d = cos d + sin J d and J (q, p) = (p, -q) in each mode
-        cos, sin = _turn(params.omega, t_grid)
-        d1, d2 = initial.mean[:2], initial.mean[2:]
-        j1, j2 = d1[::-1] * [1.0, -1.0], d2[::-1] * [1.0, -1.0]
-        weights = np.stack([f11 * cos, f11 * sin, f12 * cos, f12 * sin, f22 * cos, f22 * sin], axis=-1)
-        means = weights @ np.block([[d1, 0 * d1], [j1, 0 * j1], [d2, -d1], [j2, -j1], [0 * d2, d2], [0 * j2, j2]])
         # sigma_1 = f11^2 sigma_11(0) + f11 f12 (sigma_12(0) + sigma_21(0)) + f12^2 sigma_22(0) + (2 mbar + 1) m11 I
         s0 = initial.cov
         blocks = np.array([s0[:2, :2].ravel(), (s0[:2, 2:] + s0[2:, :2]).ravel(), s0[2:, 2:].ravel()])
         cov1 = (np.stack([f11 * f11, f11 * f12, f12 * f12], axis=-1) @ blocks).reshape(-1, 2, 2)
         cov1[:, 0, 0] += asymptote * m11
         cov1[:, 1, 1] += asymptote * m11
-    _require_finite(t_grid, means, cov1, m11, m12, m22)
+    _require_finite(t_grid, mean1, cov1, m11, m12, m22)
     _require_floor(cov1[:, None], t_grid)
     uncertified = ~((m11 >= 0.0) & (m22 >= 0.0) & (np.abs(m12) <= np.sqrt(m11.clip(0.0)) * np.sqrt(m22.clip(0.0))))
     if uncertified.any():
@@ -258,7 +260,7 @@ def evolve_coupled(
     bad = ~(np.isfinite(fid) & np.isfinite(coh))
     if bad.any():
         raise _point_error("the fidelity and coherence tracks leave the floats", np.argmax(bad), t_grid, OverflowError)
-    return EvolutionRecord(t_grid, means, fid, coh, initial, params, bath, backflow_intervals(t_grid, fid))
+    return EvolutionRecord(t_grid, fid, coh, initial, params, bath)
 
 
 def _monotone_violations(times, track, tol: float, rising: bool) -> list[tuple[float, float]]:

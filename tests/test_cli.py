@@ -101,8 +101,12 @@ class TestQuery:
         (["fidelity", "nbar2=1e308"], 3, ""),
         (["coherence", "nbar=1e160", "d=0,0"], 0, "0 bits\n"),  # det sigma passes the floats, nu does not
         (["fidelity", "nbar1=1e160", "nbar2=1e160"], 0, "1\n"),
+        # a trace, and for the fidelity sigma_1 + sigma_2, past the floats: each block is scaled before it is summed;
+        # delta log1p(1/m) / ln 2 with delta = 1/4 and m = 8.9e307 is 4.05251415980e-309 by mpmath
+        (["fidelity", "nbar1=8e307", "nbar2=8e307"], 0, "1\n"),
+        (["coherence", "nbar=8.9e307", "d=1,0"], 0, "4.0525141598e-309 bits\n"),
     ], ids=["eigen", "coherence", "coherence_tiny_d", "fidelity", "eigen_huge_k", "coherence_nbar", "fidelity_nbar",
-            "coherence_nbar_1e160", "fidelity_nbar_1e160"])
+            "coherence_nbar_1e160", "fidelity_nbar_1e160", "fidelity_nbar_8e307", "coherence_nbar_8.9e307"])
     def test_non_finite_results_exit_3(self, params, code, printed, capsys):
         assert main(["query", *params]) == code
         out, err = capsys.readouterr()
@@ -438,12 +442,13 @@ class TestFig3Command:
 
     # Inputs that overflowed: the step maps at gamma = 1e300, for which the closed form is exact,
     # det sigma_1 at nbar = 1e200, which the kernels take of blocks scaled by a power of two, and
-    # sigma(0) - sigma_inf + sigma_inf at mbar = 1e200, which lost sigma(0) (not positive definite at t = 0)
+    # sigma(0) - sigma_inf + sigma_inf at mbar = 1e200, which lost sigma(0) (not positive definite at t = 0),
+    # and the traces of sigma_1 and sigma_1 + sigma_inf at mbar = 8.9e307, which passed the floats
     # (tests/test_fig3_certification.py checks the last two runs against high-precision references)
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "sets", [["physics.gamma=1e300"], ["physics.nbar=1e200"], ["physics.mbar=1e200"]],
-        ids=["gamma=1e300", "nbar=1e200", "mbar=1e200"],
+        "sets", [["physics.gamma=1e300"], ["physics.nbar=1e200"], ["physics.mbar=1e200"], ["physics.mbar=8.9e307"]],
+        ids=["gamma=1e300", "nbar=1e200", "mbar=1e200", "mbar=8.9e307"],
     )
     def test_former_overflows_run(self, sets, tmp_path):
         out = tmp_path / "f.csv"
@@ -475,6 +480,16 @@ class TestFig3Command:
         assert main(["fig3", "--out", str(out), "--set", "numeric.backflow_tol=-1"]) == 2
         assert capsys.readouterr().err == "configuration error: numeric.backflow_tol must be nonnegative, got '-1'\n"
         assert not out.exists()
+
+    def test_interval_ends_lie_on_the_t_column(self, tmp_path):
+        # the intervals are found on the Gamma t values the t column writes, so each end is one of them
+        out = tmp_path / "f.json"
+        assert main(["fig3", "--out", str(out), "--format", "json", "--set", "numeric.t_max=60"]) == 0
+        payload = json.loads(out.read_text())
+        ends = [end for key in ("backflow_intervals", "coherence_rise_intervals")
+                for interval in payload["summary"][key] for end in interval]
+        assert len(ends) == 2 * 15
+        assert set(ends) <= set(payload["columns"]["t"])
 
     def test_backflow_tol_sets_both_interval_lists(self, tmp_path):
         out = tmp_path / "f.json"

@@ -149,12 +149,15 @@ class TestOutOfRange:
 
     @pytest.mark.filterwarnings("error")
     def test_moments_leaving_the_floats_name_the_first_time(self):
-        # the variances stay finite, but omega t passes the float range at t = 9.46: the failure
-        # names t = 9.5, the first sample it spoils
+        # the variances stay finite, but omega t passes the float range at t = 9.46: the tracks, taken in
+        # the frame turning with R(omega t), do not see it, and the means, built on first access, name
+        # t = 9.5, the first sample it spoils
         params = OscillatorParams(omega=1.9e307, gamma=0.1)
         initial = GaussianState(np.ones(4), 5.0 * np.eye(4))
+        record = evolve_coupled(initial, params, BATH, 0.5 * np.arange(21))
+        assert np.isfinite(record.fidelity_track).all() and np.isfinite(record.coherence_track).all()
         with pytest.raises(ValueError, match="moments must be finite at t = 9.5$") as info:
-            evolve_coupled(initial, params, BATH, 0.5 * np.arange(21))
+            record.means
         assert info.value.index == 19
 
     def test_moments_past_the_floats_name_the_first_time(self):
@@ -296,10 +299,9 @@ class TestEvolveCoupled:
         assert abs(record.fidelity_track[-1] - 1.0) < 1e-12
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            evolve_coupled(figure_initial(), PARAMS, BATH, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            evolve_coupled(figure_initial(), PARAMS, BATH, [0.0, 2.0, 1.0])
+        for grid in ([1.0, 2.0], [0.0, 2.0, 1.0], [0.0, math.nan, 2.0], [0.0, 1.0, math.inf]):
+            with pytest.raises(ValueError, match="t_grid must be"):
+                evolve_coupled(figure_initial(), PARAMS, BATH, grid)
         with pytest.raises(ValueError):
             evolve_coupled(reduce_mode(figure_initial(), 1), PARAMS, BATH, [0.0, 1.0])
 
@@ -525,7 +527,6 @@ class TestIntervalDetection:
 class TestEvolutionRecord:
     GOOD = dict(
         times=np.array([0.0, 1.0]),
-        means=np.zeros((2, 4)),
         fidelity_track=np.zeros(2),
         coherence_track=np.zeros(2),
         initial=GaussianState(np.zeros(4), np.eye(4)),
@@ -536,20 +537,25 @@ class TestEvolutionRecord:
     def test_validation(self):
         good = self.GOOD
         assert len(EvolutionRecord(**good).states) == 2
+        for times in ([0.0, 0.0], [0.0, math.nan], [-math.inf, 0.0]):
+            with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
+                EvolutionRecord(**{**good, "times": np.array(times)})
         with pytest.raises(ValueError):
-            EvolutionRecord(**{**good, "times": np.array([0.0, 0.0])})
-        with pytest.raises(ValueError):
-            EvolutionRecord(**{**good, "means": np.zeros((1, 4))})
+            EvolutionRecord(**{**good, "coherence_track": np.zeros((2, 1))})
         with pytest.raises(ValueError):
             EvolutionRecord(**{**good, "initial": thermal_state(1.0)})
         with pytest.raises(ValueError):
             EvolutionRecord(**{**good, "fidelity_track": np.zeros(3)})
 
+    @pytest.mark.filterwarnings("error")
     def test_covariances_are_validated_on_access(self):
-        record = EvolutionRecord(**{**self.GOOD, "means": np.array([np.zeros(4), np.full(4, np.nan)])})
-        with pytest.raises(ValueError, match="moments must be finite at t = 1$"):
+        # omega t passes the floats from t = 9.46 on: R(omega t), and so the means and covariances, are not finite
+        params = OscillatorParams(omega=1.9e307, gamma=0.1)
+        record = EvolutionRecord(**{**self.GOOD, "times": 0.5 * np.arange(21), "params": params,
+                                    "fidelity_track": np.zeros(21), "coherence_track": np.zeros(21)})
+        with pytest.raises(ValueError, match="moments must be finite at t = 9.5$"):
             record.covs
         # the vacuum under the bath: sigma(t) = e^{Ct} e^{C^T t} (x) I + (2 mbar + 1) M (x) I, built once
         record = EvolutionRecord(**self.GOOD)
-        assert record.covs is record.covs
-        assert np.array_equal(record.covs[0], np.eye(4))
+        assert record.covs is record.covs and record.means is record.means
+        assert np.array_equal(record.covs[0], np.eye(4)) and np.array_equal(record.means, np.zeros((2, 4)))
