@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .fock_dynamics import FockPairState, OscillatorParams, energy, mode_populations
 from .gaussian_states import (
+    MAX_MOMENT,
     GaussianState,
     ThermalBath,
     coherence,
@@ -79,13 +80,16 @@ _REAL = _parser(float)
 _POSITIVE = _parser(float, "positive", lambda x: x > 0)
 _NONNEGATIVE = _parser(float, "nonnegative", lambda x: x >= 0)
 _COUNT = _parser(int, "nonnegative", lambda n: n >= 0)
+# the library's numeric domain: occupations and each entry of a mean at most MAX_MOMENT
+_OCCUPATION = _parser(float, f"nonnegative and at most {MAX_MOMENT:g}", lambda x: 0 <= x <= MAX_MOMENT)
+_MEAN_ENTRY = _parser(float, f"at most {MAX_MOMENT:g} in magnitude", lambda x: abs(x) <= MAX_MOMENT)
 
 
-def _reals(count: int | None = None):
-    """Parser of count comma-separated finite floats, or with no count of one or more distinct ones."""
+def _reals(count: int | None = None, entry=_REAL):
+    """Parser of count comma-separated entries, each read by entry, or with no count of one or more distinct ones."""
 
     def parse(key: str, text: str) -> str:
-        values = [_REAL(key, part) for part in text.split(",") if part.strip()]
+        values = [entry(key, part) for part in text.split(",") if part.strip()]
         if count is not None and len(values) != count:
             raise ConfigError(f"{key} must have {count} entries, got {len(values)}")
         if count is None and (not values or len(set(map(float, values))) != len(values)):
@@ -109,9 +113,9 @@ KEYS = {
     "fig3": {
         "physics.gamma": (_reals(), "0.1"),
         "physics.decay_rate": (_POSITIVE, "0.1"),
-        "physics.nbar": (_NONNEGATIVE, "2"),
-        "physics.mbar": (_NONNEGATIVE, "4"),
-        "physics.displacement": (_reals(4), "1,1,1,1"),
+        "physics.nbar": (_OCCUPATION, "2"),
+        "physics.mbar": (_OCCUPATION, "4"),
+        "physics.displacement": (_reals(4, _MEAN_ENTRY), "1,1,1,1"),
         "physics.initial_covariance": (
             _parser(str, "adjusted or thermal", lambda word: word in ("adjusted", "thermal")), "adjusted"
         ),
@@ -127,14 +131,14 @@ KEYS = {
         "omega": (_POSITIVE, "1"),
     },
     "fidelity": {
-        "nbar1": (_NONNEGATIVE, "0"),
-        "nbar2": (_NONNEGATIVE, "0"),
-        "d1": (_reals(2), "0,0"),
-        "d2": (_reals(2), "0,0"),
+        "nbar1": (_OCCUPATION, "0"),
+        "nbar2": (_OCCUPATION, "0"),
+        "d1": (_reals(2, _MEAN_ENTRY), "0,0"),
+        "d2": (_reals(2, _MEAN_ENTRY), "0,0"),
     },
     "coherence": {
-        "nbar": (_NONNEGATIVE, "0"),
-        "d": (_reals(2), "0,0"),
+        "nbar": (_OCCUPATION, "0"),
+        "d": (_reals(2, _MEAN_ENTRY), "0,0"),
     },
     "negativity": {
         "k": (_COUNT, "1"),
@@ -254,19 +258,11 @@ def _vector(text: str) -> np.ndarray:
     return np.array([float(part) for part in text.split(",")])
 
 
-def _variance(cfg: dict[str, str], key: str) -> float:
-    """Vacuum-unit variance 2 n + 1 of the occupation n under key; past the floats an OverflowError names key."""
-    variance = 2.0 * float(cfg[key]) + 1.0
-    if variance == math.inf:
-        raise OverflowError(f"the variance 2 {key.rpartition('.')[2]} + 1 leaves the floats ({key} = {cfg[key]})")
-    return variance
-
-
 def _fig3_initial_state(cfg: dict[str, str]) -> GaussianState:
     """Displacement and each mode's isotropic covariance, in vacuum units."""
-    variance = _variance(cfg, "physics.nbar")
+    variance = 2.0 * float(cfg["physics.nbar"]) + 1.0
     d = _vector(cfg["physics.displacement"])
-    quanta = [v * v for v in d.tolist()]  # floats: past the range is inf
+    quanta = [v * v for v in d.tolist()]
     adjusted = cfg["physics.initial_covariance"] == "adjusted"
     cov = np.zeros((4, 4))
     for mode in (0, 1):
@@ -290,7 +286,6 @@ def run_fig3(cfg: dict[str, str], gamma: float) -> dict:
     bath = ThermalBath(rate, float(cfg["physics.mbar"]))
     scaled = _axis(0.0, t_max, float(cfg["numeric.t_step"]), "numeric.t_step")  # dimensionless Gamma*t
     try:
-        _variance(cfg, "physics.mbar")  # the asymptote's variance, named by its key
         initial = _fig3_initial_state(cfg)
         record = evolve_coupled(initial, OscillatorParams(gamma=gamma), bath, scaled / rate)
     except (ArithmeticError, ValueError) as exc:  # the propagation or its trajectory checks
@@ -367,9 +362,10 @@ def _query_value(quantity: str, cfg: dict[str, str]) -> float:
         k, ell = int(cfg["k"]), int(cfg["l"])
         probs = mode_populations(_pair(k, ell), float(cfg["theta"]), int(cfg["mode"]))
         return _negativity(probs, k + ell)
-    # thermal states displaced to d, or d1 and d2 for the fidelity, in vacuum units
+    # thermal states of variance 2 nbar + 1 displaced to d, or d1 and d2 for the fidelity, in vacuum units
     tags = ("1", "2") if quantity == "fidelity" else ("",)
-    states = [GaussianState(_vector(cfg["d" + tag]), _variance(cfg, "nbar" + tag) * np.eye(2)) for tag in tags]
+    states = [GaussianState(_vector(cfg["d" + tag]), (2.0 * float(cfg["nbar" + tag]) + 1.0) * np.eye(2))
+              for tag in tags]
     return fidelity(*states) if quantity == "fidelity" else coherence(*states)
 
 
@@ -381,7 +377,7 @@ def run_query(quantity: str, params: dict[str, str]) -> str:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             value = _query_value(quantity, cfg)
-        except OverflowError as exc:  # an integer too large for a float, or a variance past the floats
+        except OverflowError as exc:  # an integer too large for a float
             raise NumericFailure(f"{quantity} is not finite at these inputs: {exc}") from None
     if not math.isfinite(value):
         raise NumericFailure(f"{quantity} is not finite ({value}) at these inputs")
@@ -400,8 +396,9 @@ def _run_experiment(args) -> int:
     targets = [out] if len(gammas) == 1 else [
         out.with_name(f"{out.stem}_gamma{gamma}{out.suffix}") for gamma in gammas
     ]
-    for gamma, target in zip(gammas, targets):
-        result = run_fig1(cfg) if gamma is None else run_fig3(cfg, float(gamma))
+    # every run first, so that a failing value leaves no file
+    results = [run_fig1(cfg) if gamma is None else run_fig3(cfg, float(gamma)) for gamma in gammas]
+    for result, target in zip(results, targets):
         text = _csv_text(result) if fmt == "csv" else _json_text(args.command, result, cfg)
         target.write_text(text)
         print(target)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_MOMENT",
     "GaussianState",
     "ThermalBath",
     "UnphysicalStateError",
@@ -27,6 +28,10 @@ __all__ = [
 ]
 
 PHYSICALITY_SLACK = 1e-9
+# The kernels' numeric domain: covariances with tr sigma <= 4 MAX_MOMENT + 2, as of a thermal state of MAX_MOMENT
+# quanta, and mean entries at most MAX_MOMENT in magnitude.  There the fidelity's largest term,
+# (det sigma_1 - 1)(det sigma_2 - 1), stays below 2e241, and no determinant or quadratic form leaves the floats.
+MAX_MOMENT = 1e60
 
 
 class UnphysicalStateError(ValueError):
@@ -83,13 +88,6 @@ def _nu(blocks):
     return np.sqrt(np.maximum(_det2(blocks), 0.0))
 
 
-def _power_scale(*blocks):
-    """1 where the summed trace of the 2x2 blocks is below 2^256, else the even power of two, exact to scale
-    by, to [2^254, 2^256).  The trace is summed in quarters, so it stays finite to the top of the floats."""
-    exponent = np.frexp(sum(0.25 * b[..., 0, 0] + 0.25 * b[..., 1, 1] for b in blocks))[1] + 2
-    return np.ldexp(1.0, -2 * np.maximum((exponent - 255) // 2, 0)) if np.any(exponent > 256) else 1.0
-
-
 def _point_error(message: str, index, times=None, error: type = ValueError) -> Exception:
     """error(message) naming the point by its time when times is given, with ``index`` its position."""
     exc = error(message + ("" if times is None else f" at t = {times[index]:.6g}"))
@@ -106,10 +104,8 @@ def _require_finite(times, *stacks) -> None:
 
 def _require_floor(blocks, times=None) -> None:
     """UnphysicalStateError naming the first point, then its first mode, of the 2x2 blocks
-    (n, modes, 2, 2) with nu < 1 - PHYSICALITY_SLACK; nu is taken of blocks scaled as in the kernels."""
-    unit = _power_scale(blocks)
-    with np.errstate(over="ignore", invalid="ignore"):  # a trace past the floats is far above the floor
-        nus = _nu(blocks * np.expand_dims(unit, (-2, -1))) / unit  # (n, modes)
+    (n, modes, 2, 2) with nu < 1 - PHYSICALITY_SLACK."""
+    nus = _nu(blocks)  # (n, modes)
     low = nus < 1.0 - PHYSICALITY_SLACK
     if low.any():
         i, mode = np.argwhere(low)[0]  # row-major: the first failing point, then its first failing mode
@@ -167,21 +163,15 @@ def moment_fidelity(mean1, cov1, mean2, cov2):
     d the difference of the means and sigma_+ the sum of the covariances.
     The prefactor is 2 / (sqrt(Delta + delta) - sqrt(delta)) without the
     cancellation of that difference for mixed states, and sigma_+^-1 is
-    its 2 x 2 adjugate over Delta.  Each block whose trace passes 2^256 is
-    scaled by a power of two first, sigma_+ before its sum is formed, so no
-    sum or determinant leaves the floats.
+    its 2 x 2 adjugate over Delta.  Both states lie in the domain of
+    MAX_MOMENT, where no term leaves the floats.
     """
-    unit, unit1, unit2 = _power_scale(cov1, cov2), _power_scale(cov1), _power_scale(cov2)  # 1/s of each block
-    scale = np.expand_dims(unit, (-2, -1))
-    splus = cov1 * scale + cov2 * scale
-    cov1, cov2 = (cov1.T * unit1).T, (cov2.T * unit2).T  # each block times its unit
-    big_delta = _det2(splus)  # Delta / s+^2
-    small_delta = np.maximum((_det2(cov1) - unit1 * unit1) * (_det2(cov2) - unit2 * unit2), 0.0)  # 0 if pure
-    ratio = (unit / unit1) * (unit / unit2)  # s1 s2 / s+^2; small_delta is delta / (s1 s2)^2
-    dq, dp = np.moveaxis(np.asarray(mean1 - mean2), -1, 0) * np.sqrt(unit)  # d^T sigma_+^-1 d is unchanged
+    splus = cov1 + cov2
+    big_delta = _det2(splus)
+    small_delta = np.maximum((_det2(cov1) - 1.0) * (_det2(cov2) - 1.0), 0.0)  # 0 if pure
+    dq, dp = np.moveaxis(np.asarray(mean1 - mean2), -1, 0)
     quad = splus[..., 1, 1] * dq * dq - (splus[..., 0, 1] + splus[..., 1, 0]) * dq * dp + splus[..., 0, 0] * dp * dp
-    total = big_delta * unit * unit + ratio * (ratio * small_delta)  # (Delta + delta) / s+^4
-    value = 2.0 * (np.sqrt(total) + ratio * np.sqrt(small_delta)) / big_delta
+    value = 2.0 * (np.sqrt(big_delta + small_delta) + np.sqrt(small_delta)) / big_delta
     return np.clip(value * np.exp(-0.5 * quad / big_delta), 0.0, 1.0)
 
 
@@ -202,19 +192,14 @@ def moment_coherence(mean, cov):
     [(m + 1) log1p(delta/(m + 1)) - m log1p(delta/m) + delta log1p(1/(m + delta))] / ln 2,
     whose m = 0 and delta = 0 terms are exactly 0.  Past m = 4.5 the first two
     terms, which cancel to about 1e-16 m, are taken as the integral over [m, m + 1]
-    of log1p(delta/s) - delta/(s + delta) by 8-point Gauss-Legendre.  Where
-    |d|^2 passes the floats, :func:`_far_coherence` takes over.
+    of log1p(delta/s) - delta/(s + delta) by 8-point Gauss-Legendre.  The state lies
+    in the domain of MAX_MOMENT, where det sigma and |d|^2 stay in the floats.
     """
-    unit = _power_scale(cov)  # det sigma may pass the floats where nu does not: nu of the scaled block
-    scaled = (cov.T * unit).T
-    s11, s12, s22 = scaled[..., 0, 0], scaled[..., 0, 1], scaled[..., 1, 1]
-    nu = np.maximum(_nu(scaled) / unit, 1.0)
+    s11, s12, s22 = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
+    nu = np.maximum(_nu(cov), 1.0)
     m = 0.5 * (nu - 1.0)
-    spread = ((s11 - s22) ** 2 + 4.0 * s12 * s12) / (s11 + s22 + 2.0 * nu * unit) / unit
-    with np.errstate(over="ignore"):
-        square = np.sum(np.square(mean), axis=-1)
-    far = square == np.inf
-    delta = 0.25 * (np.where(far, 0.0, square) + spread)
+    spread = ((s11 - s22) ** 2 + 4.0 * s12 * s12) / (s11 + s22 + 2.0 * nu)
+    delta = 0.25 * (np.sum(np.square(mean), axis=-1) + spread)
     ratio = np.divide(delta, m, out=np.zeros_like(delta), where=m > 0.0)
     x = m + delta
     near = x < 1.0  # there 1/x may overflow: log1p(1/x) = log1p(x) - log(x), with no cancellation
@@ -230,26 +215,7 @@ def moment_coherence(mean, cov):
         step = delta[..., None]
         pair = np.where(m > 4.5, 0.5 * np.sum(weights * (np.log1p(step / s) - step / (s + step)), axis=-1), pair)
     nats = pair + delta * excess
-    if np.any(far):
-        nats = np.where(far, _far_coherence(0.5 * np.hypot(mean[..., 0], mean[..., 1]), m, spread), nats)
     return np.maximum(nats / math.log(2.0), 0.0)
-
-
-def _far_coherence(half, m, spread):
-    """moment_coherence in nats where |d|^2 passes the floats, from half = |d|/2 > 2^511.
-
-    Then nbar = m + delta >= 2^1022, so S_th(nbar) = log(nbar) + 1 to rounding and
-    log(nbar) = 2 log(half) + log1p((m + spread/4) / half^2).  Below m = 2^40 the
-    coherence is log(nbar) + 1 - S_th(m), with log(nbar) > 708 and S_th(m) < 30.  From
-    there on it is log1p(delta/m) - [(m + 1) log1p(1/m) - 1], the bracket below 2^-41,
-    with delta/m = r^2 + spread/(4m), r = half/sqrt(m), read as 2 log(r) past r = 2^500.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the branches np.where drops
-        total = 2.0 * np.log(half) + np.log1p((m + 0.25 * spread) / half / half)
-        entropy = np.log1p(m) + np.where(m > 0.0, m * np.log1p(1.0 / m), 0.0)  # S_th(m)
-        r = half / np.sqrt(m)
-        ratio_log = np.where(r < 2.0**500, np.log1p(r * r + 0.25 * spread / m), 2.0 * np.log(r))
-        return np.where(m < 2.0**40, total + 1.0 - entropy, ratio_log - ((m + 1.0) * np.log1p(1.0 / m) - 1.0))
 
 
 def coherence(state: GaussianState) -> float:

@@ -226,6 +226,10 @@ def evolve_coupled(
     and the mode-1 coherence, come from d1 and sigma_1; a track value past the
     floats raises OverflowError naming its time.  The record derives the two-mode
     moments, validated, and the backflow intervals when they are first read.
+    The tracks' domain is that of gaussian_states.MAX_MOMENT: an initial state in
+    it and mbar at most MAX_MOMENT.  As e^{Ct} is a contraction, d1 and sigma_1 then
+    stay within a small factor of that domain at every time, well inside the
+    kernels' margin.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if not (t_grid.ndim == 1 and t_grid.size and t_grid[0] == 0.0 and np.isfinite(t_grid[-1])

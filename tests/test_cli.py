@@ -23,6 +23,7 @@ from wignerosc.cli import (
     run_fig3,
     run_query,
 )
+from wignerosc.gaussian_states import MAX_MOMENT
 
 FAST_FIG1 = [
     "--set", "numeric.theta_max=1.5707963267948966",
@@ -93,41 +94,43 @@ class TestQuery:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("params,code,printed", [
         (["eigen", "k=1", "l=0", "gamma=1e308", "hbar=10"], 3, ""),  # hbar * gamma overflows
-        (["coherence", "nbar=0", "d=1e200,0"], 0, "1328.213933 bits\n"),  # |d|^2 passes the floats; see below
+        (["coherence", "nbar=0", "d=1e200,0"], 2, "d"),  # |d|^2 would pass the floats
         (["coherence", "nbar=0", "d=1e-154,0"], 0, "2.56649137067e-306 bits\n"),  # 1 / (|d|^2 / 4) overflows
-        (["fidelity", "d1=1e200,0"], 0, "0\n"),  # the overlap underflows to its true value
+        (["fidelity", "d1=1e200,0"], 2, "d1"),
         (["eigen", f"k={10**400}"], 3, ""),  # an integer too large for a float
-        (["coherence", "nbar=1e308"], 3, ""),  # the variance 2 nbar + 1 overflows
-        (["fidelity", "nbar2=1e308"], 3, ""),
-        (["coherence", "nbar=1e160", "d=0,0"], 0, "0 bits\n"),  # det sigma passes the floats, nu does not
-        (["fidelity", "nbar1=1e160", "nbar2=1e160"], 0, "1\n"),
-        # a trace, and for the fidelity sigma_1 + sigma_2, past the floats: each block is scaled before it is summed;
-        # delta log1p(1/m) / ln 2 with delta = 1/4 and m = 8.9e307 is 4.05251415980e-309 by mpmath
-        (["fidelity", "nbar1=8e307", "nbar2=8e307"], 0, "1\n"),
-        (["coherence", "nbar=8.9e307", "d=1,0"], 0, "4.0525141598e-309 bits\n"),
+        (["coherence", "nbar=1e308"], 2, "nbar"),  # the variance 2 nbar + 1 would overflow
+        (["fidelity", "nbar2=1e308"], 2, "nbar2"),
+        (["coherence", "nbar=1e160", "d=0,0"], 2, "nbar"),  # det sigma would pass the floats
+        (["fidelity", "nbar1=1e160", "nbar2=1e160"], 2, "nbar1"),
+        (["fidelity", "nbar1=8e307", "nbar2=8e307"], 2, "nbar1"),  # a trace would pass the floats
+        (["coherence", "nbar=8.9e307", "d=1,0"], 2, "nbar"),
+        (["fidelity", "d1=1.5e308,0", "d2=-1.5e308,0"], 2, "d1"),  # d1 - d2 would pass the floats
     ], ids=["eigen", "coherence", "coherence_tiny_d", "fidelity", "eigen_huge_k", "coherence_nbar", "fidelity_nbar",
-            "coherence_nbar_1e160", "fidelity_nbar_1e160", "fidelity_nbar_8e307", "coherence_nbar_8.9e307"])
+            "coherence_nbar_1e160", "fidelity_nbar_1e160", "fidelity_nbar_8e307", "coherence_nbar_8.9e307",
+            "fidelity_means_1.5e308"])
     def test_non_finite_results_exit_3(self, params, code, printed, capsys):
+        # inputs whose results leave the floats exit 3; those past the numeric domain, MAX_MOMENT, exit 2
+        # before any work and name their key, here printed; the rest print their value
         assert main(["query", *params]) == code
         out, err = capsys.readouterr()
-        assert out == printed
+        assert err.count("\n") == (code != 0)
         if code == 3:
-            assert err.startswith(f"numeric failure: {params[0]} is not finite ") and err.count("\n") == 1
-            for key in ("nbar", "nbar2"):  # an occupation out of range is named with its value
-                assert (f"({key} = 1e+308)" in err) == (f"{key}=1e308" in params)
+            assert out == "" and err.startswith(f"numeric failure: {params[0]} is not finite ")
+        elif code == 2:
+            assert out == "" and err.startswith(f"configuration error: {printed} must be ")
         else:
-            assert err == ""
+            assert out == printed
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("nbar,d", [("0", "1e200,0"), ("1e3", "3e250,-4e250"), ("1e20", "1e155,0")])
+    @pytest.mark.parametrize("nbar,d", [("0", "1e60,0"), ("1e3", "6e59,-8e59"), ("1e20", "1e55,0")])
     def test_far_displacement_coherence_against_mpmath(self, nbar, d, capsys):
-        # |d|^2 passes the floats, so the kernel takes log nbar_total from log(|d|/2); the reference is
-        # S_th(nbar_total) - S_th(nbar) in bits, whose terms near 1e600 log(1e600) need 700 digits
+        # |d|^2 near the bound of the numeric domain; the reference is S_th(nbar_total) - S_th(nbar) in bits,
+        # whose terms near 2.5e119 log(2.5e119) need 150 digits
         import mpmath as mp
 
         assert main(["query", "coherence", f"nbar={nbar}", f"d={d}"]) == 0
         value = float(capsys.readouterr().out.split()[0])
-        with mp.workdps(700):
+        with mp.workdps(150):
             m = mp.mpf(nbar)
             total = m + sum(mp.mpf(part) ** 2 for part in d.split(",")) / 4
 
@@ -412,21 +415,22 @@ class TestFig3Command:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value,at_time", [
-        ("physics.mbar=1e308", False),  # infinite asymptotic variance 2 mbar + 1
-        ("physics.nbar=1e308", False),  # infinite initial variance 2 nbar + 1
+        ("physics.mbar=1e308", False),  # the asymptotic variance 2 mbar + 1 would be infinite
+        ("physics.nbar=1e308", False),  # the initial variance 2 nbar + 1 would be infinite
         ("physics.gamma=1.7e308", True),  # the exchange phase kappa t passes the float range
     ])
     def test_numeric_failure_exit_code(self, value, at_time, tmp_path, capsys):
+        # a failure at a time exits 3 naming the time; occupations past the numeric domain never reach the
+        # propagation, and exit 2 naming their key
         out = tmp_path / "f.csv"
-        assert main(["fig3", "--out", str(out), "--set", value, *FAST_FIG3]) == 3
+        assert main(["fig3", "--out", str(out), "--set", value, *FAST_FIG3]) == (3 if at_time else 2)
         err = capsys.readouterr().err
-        assert err.startswith("numeric failure: ")
         assert err.count("\n") == 1 and err.endswith("\n")  # no numpy warning ahead of it
-        assert ("at t = " in err) == at_time
         if at_time:
+            assert err.startswith("numeric failure: ")
             assert err.endswith(f" at t = {self.FAILING_T[value]}\n")
-        else:  # the quantity out of range names the key that set it
-            assert f"{value.partition('=')[0]} = " in err
+        else:
+            assert err.startswith(f"configuration error: {value.partition('=')[0]} must be ")
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
@@ -440,16 +444,9 @@ class TestFig3Command:
         )
         assert not out.exists()
 
-    # Inputs that overflowed: the step maps at gamma = 1e300, for which the closed form is exact,
-    # det sigma_1 at nbar = 1e200, which the kernels take of blocks scaled by a power of two, and
-    # sigma(0) - sigma_inf + sigma_inf at mbar = 1e200, which lost sigma(0) (not positive definite at t = 0),
-    # and the traces of sigma_1 and sigma_1 + sigma_inf at mbar = 8.9e307, which passed the floats
-    # (tests/test_fig3_certification.py checks the last two runs against high-precision references)
+    # Inputs that overflowed: the step maps at gamma = 1e300, for which the closed form is exact
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "sets", [["physics.gamma=1e300"], ["physics.nbar=1e200"], ["physics.mbar=1e200"], ["physics.mbar=8.9e307"]],
-        ids=["gamma=1e300", "nbar=1e200", "mbar=1e200", "mbar=8.9e307"],
-    )
+    @pytest.mark.parametrize("sets", [["physics.gamma=1e300"]], ids=["gamma=1e300"])
     def test_former_overflows_run(self, sets, tmp_path):
         out = tmp_path / "f.csv"
         assert main(["fig3", "--out", str(out), *[f for key in sets for f in ("--set", key)], *FAST_FIG3]) == 0
@@ -459,11 +456,27 @@ class TestFig3Command:
 
     @pytest.mark.parametrize("value", ["3,0,0,0", "1,1,0.1,3", "1e200,1,1,1"])
     def test_displacement_beyond_adjusted_covariance_exits_2(self, value, tmp_path, capsys):
-        # in vacuum units a displacement d carries |d|^2 / 4 quanta, more than nbar = 2 in one mode here
+        # in vacuum units a displacement d carries |d|^2 / 4 quanta, more than nbar = 2 in one mode here;
+        # an entry past the numeric domain is named by the bound before the covariance is sized
         out = tmp_path / "f.csv"
         assert main(["fig3", "--out", str(out), "--set", f"physics.displacement={value}", *FAST_FIG3]) == 2
-        assert "physics.nbar too small" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if value.startswith("1e200"):
+            assert err == "configuration error: physics.displacement must be at most 1e+60 in magnitude, got '1e200'\n"
+        else:
+            assert "physics.nbar too small" in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_failing_gamma_in_a_list_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        # gamma = 0.1 runs, but at gamma = 1e308 the phase kappa t passes the floats: every run comes
+        # before the first file is written, so none is
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig3", "--set", "physics.gamma=0.1,1e308", "--out", "g.csv"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numeric failure: propagation at gamma = 1e+308 failed: moments must be finite at t = 0.18\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")
     def test_long_uncoupled_run_stays_finite(self, tmp_path):
@@ -499,6 +512,47 @@ class TestFig3Command:
         out = tmp_path / "f.csv"
         assert main(["fig3", "--out", str(out), "--set", "numeric.backflow_tol=1"]) == 0
         assert out.read_text().splitlines()[-1] == "# backflow_intervals,0"
+
+
+# every key the numeric domain bounds, with the command that reads it
+BOUNDED_KEYS = [
+    ("fig3", "physics.nbar"), ("fig3", "physics.mbar"), ("fig3", "physics.displacement"),
+    ("fidelity", "nbar1"), ("fidelity", "nbar2"), ("fidelity", "d1"), ("fidelity", "d2"),
+    ("coherence", "nbar"), ("coherence", "d"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,key", BOUNDED_KEYS, ids=[f"{command}-{key}" for command, key in BOUNDED_KEYS])
+def test_numeric_domain_bound(command, key, tmp_path, capsys):
+    # occupations and mean entries of magnitude at most MAX_MOMENT: at twice the bound a value exits 2 and
+    # names its key before any work, and at the bound the run is finite; a displacement that large needs
+    # fig3's thermal covariance, and the means take both signs
+    assert MAX_MOMENT == 1e60
+    entries = {"physics.displacement": 4, "d1": 2, "d2": 2, "d": 2}.get(key, 1)
+    out = tmp_path / "f.csv"
+
+    def argv(value: float) -> list[str]:
+        setting = f"{key}=" + ",".join(repr(value * (-1) ** i) for i in range(entries))
+        if command == "fig3":
+            return ["fig3", "--out", str(out), "--set", setting, "--set", "physics.initial_covariance=thermal",
+                    *FAST_FIG3]
+        return ["query", command, setting]
+
+    assert main(argv(2 * MAX_MOMENT)) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith(f"configuration error: {key} must be ") and err.count("\n") == 1
+    assert not out.exists()
+    assert main(argv(MAX_MOMENT)) == 0
+    printed, err = capsys.readouterr()
+    assert err == ""
+    if command == "fig3":
+        table = np.loadtxt(out, delimiter=",", skiprows=1, comments="#")
+        values = {"fidelity": table[:, 1], "coherence": table[:, 3]}
+    else:
+        values = {command: np.array([float(printed.split()[0])])}
+    assert all(np.isfinite(v).all() and np.all(v >= 0.0) for v in values.values())
+    assert np.all(values.get("fidelity", 0.0) <= 1.0)
 
 
 def _stdlib_json(experiment: str, result: dict, cfg: dict) -> str:

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from wignerosc.gaussian_states import (
+    MAX_MOMENT,
     GaussianState,
     ThermalBath,
     UnphysicalStateError,
@@ -142,18 +143,21 @@ class TestFidelity:
             assert 0.0 <= value <= 1.0
 
     def test_huge_occupations(self):
-        # det sigma_+ and det sigma_1 pass the floats from nbar near 1e154, and at 1e307 so does
-        # d^T adj(sigma_+) d; for isotropic blocks a I and b I,
-        # F = 2 / (ab + 1 - sqrt((a^2 - 1)(b^2 - 1))) exp(-|d|^2 / (2 (a + b))), here at 700 digits
-        cases = ((1e160, 1e160, 0.0), (1e200, 3e199, 1e99), (1e160, 0.0, 0.0), (2.0, 1e300, 5.0), (1e250, 4.0, 0.0),
-                 (1e307, 1e307, 1e150), (1e250, 1e250, 3e125))
-        for nbar1, nbar2, d in cases:
-            s1, s2 = thermal_state(nbar1), GaussianState([d, 0.0], (2 * nbar2 + 1) * np.eye(2))
-            with mp.workdps(700):
+        # the edge of the numeric domain, occupations and mean entries MAX_MOMENT, alone and with 0; for
+        # isotropic blocks a I and b I, F = 2 / (ab + 1 - sqrt((a^2 - 1)(b^2 - 1))) exp(-|d1 - d2|^2 / (2 (a + b))),
+        # whose 2 / (ab + 1 - ...) loses 121 digits at a = b = 2e60 + 1, here at 250 digits
+        assert MAX_MOMENT == 1e60
+        top = MAX_MOMENT
+        cases = ((top, top, top, -top), (top, top, top, top), (top, top, 1e30, 0.0), (top, top, 0.0, 0.0),
+                 (top, 0.0, 0.0, 0.0), (top, 0.0, 1e30, 0.0), (0.0, top, top, 0.0), (0.0, 0.0, 0.0, top))
+        for nbar1, nbar2, d1, d2 in cases:
+            s1 = GaussianState([d1, 0.0], (2 * nbar1 + 1) * np.eye(2))
+            s2 = GaussianState([d2, 0.0], (2 * nbar2 + 1) * np.eye(2))
+            with mp.workdps(250):
                 a, b = mp.mpf(s1.cov[0, 0]), mp.mpf(s2.cov[0, 0])
                 overlap = 2 / (a * b + 1 - mp.sqrt((a * a - 1) * (b * b - 1)))
-                exact = overlap * mp.exp(-mp.mpf(d) ** 2 / (2 * (a + b)))
-            assert fidelity(s1, s2) == pytest.approx(float(exact), rel=1e-13)
+                exact = overlap * mp.exp(-(mp.mpf(d1) - mp.mpf(d2)) ** 2 / (2 * (a + b)))
+            assert fidelity(s1, s2) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
 class TestCoherence:
@@ -173,15 +177,23 @@ class TestCoherence:
             assert coherence(GaussianState([d, 0.0], np.eye(2))) == pytest.approx(float(exact), rel=1e-12)
 
     def test_huge_occupations(self):
-        # nu = sqrt(det sigma) with det sigma past the floats: S_th(m + |d|^2 / 4) - S_th(m), m = (nu - 1)/2,
-        # a difference of entropies (x + 1) log(x + 1) - x log x whose terms reach 5e202, here at 500 digits
-        for nbar, d in ((1e160, 0.0), (1e160, 3.0), (1e200, 1e99)):
-            state = GaussianState([d, 0.0], (2 * nbar + 1) * np.eye(2))
-            with mp.workdps(500):
+        # the edge of the numeric domain, occupations and mean entries MAX_MOMENT, alone and with 0 or 1:
+        # S_th(m + |d|^2 / 4) - S_th(m), m = (nu - 1)/2, a difference of entropies (x + 1) log(x + 1) - x log x
+        # whose terms reach 1.4e122 and which is 3.6e-61 bits at m = 1e60, |d| = 1, here at 250 digits
+        top = MAX_MOMENT
+        cases = ((top, top, top), (top, top, -top), (top, 0.0, 0.0), (top, 1.0, 0.0), (top, 0.0, 3.0),
+                 (0.0, top, 0.0), (0.0, top, -top), (0.0, 1e-3, 0.0))
+        for nbar, dq, dp in cases:
+            state = GaussianState([dq, dp], (2 * nbar + 1) * np.eye(2))
+            with mp.workdps(250):
                 m = (mp.mpf(state.cov[0, 0]) - 1) / 2
-                n = m + mp.mpf(d) ** 2 / 4
-                exact = ((n + 1) * mp.log(n + 1) - n * mp.log(n) - (m + 1) * mp.log(m + 1) + m * mp.log(m)) / mp.log(2)
-            assert coherence(state) == pytest.approx(float(exact), rel=1e-13, abs=1e-300)
+                n = m + (mp.mpf(dq) ** 2 + mp.mpf(dp) ** 2) / 4
+
+                def entropy(x):
+                    return (x + 1) * mp.log(x + 1) - (x * mp.log(x) if x > 0 else 0)
+
+                exact = (entropy(n) - entropy(m)) / mp.log(2)
+            assert coherence(state) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("nbar", [10.0, 49.0, 99.0])
     def test_displaced_thermal_against_mpmath(self, nbar, monkeypatch):

@@ -10,6 +10,7 @@ import oracles
 from wignerosc import open_dynamics
 from wignerosc.fock_dynamics import OscillatorParams
 from wignerosc.gaussian_states import (
+    MAX_MOMENT,
     PHYSICALITY_SLACK,
     GaussianState,
     ThermalBath,
@@ -491,6 +492,34 @@ def test_closed_form_properties(run):
     slowest = bath.decay_rate / 2 if params.gamma == 0.0 else min(-np.linalg.eigvals(drift_c).real)
     late = evolve_coupled(initial, params, bath, np.array([0.0, 60.0 / slowest]))
     assert late.fidelity_track[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+def _up_to_bound():
+    """A magnitude in [0, MAX_MOMENT]: 0 or the bound itself, or log-uniform over [1e-3, MAX_MOMENT]."""
+    top = math.log10(MAX_MOMENT)
+    return st.sampled_from([0.0, MAX_MOMENT]) | st.floats(-3.0, top).map(lambda e: min(10.0**e, MAX_MOMENT))
+
+
+@st.composite
+def domain_runs(draw):
+    """(params, bath, initial state) with the occupations and each mean entry anywhere in the numeric domain."""
+    rate = draw(st.floats(0.05, 2.0))
+    gamma = draw(st.sampled_from([1.0, -1.0])) * draw(st.sampled_from([0.0, rate / 4.0]) | st.floats(0.001, 2.0))
+    mbar, nbar = draw(_up_to_bound()), draw(_up_to_bound())
+    mean = [draw(st.sampled_from([1.0, -1.0])) * draw(_up_to_bound()) for _ in range(4)]
+    return OscillatorParams(gamma=gamma), ThermalBath(rate, mbar), GaussianState(mean, (2 * nbar + 1) * np.eye(4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(domain_runs())
+def test_tracks_in_the_numeric_domain(run):
+    # the kernels take the moments unscaled: up to MAX_MOMENT no value leaves the floats and numpy warns
+    # of nothing, which the suite's filterwarnings makes an error
+    params, bath, initial = run
+    record = evolve_coupled(initial, params, bath, np.linspace(0.0, 60.0, 61) / bath.decay_rate)
+    assert np.isfinite(record.fidelity_track).all() and np.isfinite(record.coherence_track).all()
+    assert np.all((record.fidelity_track >= 0.0) & (record.fidelity_track <= 1.0))
+    assert np.all(record.coherence_track >= 0.0)
 
 
 class TestIntervalDetection:
