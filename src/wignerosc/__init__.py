@@ -4,41 +4,24 @@ Exact number-state Wigner dynamics with mutual-information and negativity
 analysis, a Gaussian covariance-matrix engine with fidelity and coherence,
 dissipative evolution with backflow detection, and a CLI that emits the
 standard experiment data sets.
+
+The package itself imports nothing: the library lives in its modules
+(``fock_dynamics``, ``info_measures``, ``gaussian_states``, ``open_dynamics``,
+``quadrature``), which load numpy, and the command line in ``cli``, which loads
+numpy only once a run starts computing.
 """
 
 __version__ = "0.1.0"
 
-from .quadrature import laguerre, laguerre_table
-from .fock_dynamics import (
-    FockPairState,
-    OscillatorParams,
-    WignerField,
-    energy,
-    mode_populations,
-    pair_field,
-)
-from .gaussian_states import (
-    GaussianState,
-    ThermalBath,
-    UnphysicalStateError,
-    coherence,
-    fidelity,
-    reduce_mode,
-    state_to_record,
-    thermal_state,
-)
-from .info_measures import (
-    NegativityError,
-    linear_entropy,
-    mutual_information,
-    negativity,
-)
-from .open_dynamics import (
-    EvolutionRecord,
-    backflow_intervals,
-    evolve_coupled,
-    rising_intervals,
-    thermalize_closed_form,
-)
+# The library's numeric domain: occupations and each entry of a mean at most MAX_MOMENT (see gaussian_states).
+MAX_MOMENT = 1e60
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+# The command line's two failures live here, not in cli, so that under `python -m wignerosc.cli`, where cli
+# runs as __main__, the module that computes the runs raises the very classes that cli.main catches.
+class ConfigError(Exception):
+    """Bad key, bad value, or unparseable configuration input."""
+
+
+class NumericFailure(Exception):
+    """A computation broke down on input that passed validation."""

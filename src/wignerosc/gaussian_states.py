@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import MAX_MOMENT
+
 __all__ = [
-    "MAX_MOMENT",
     "GaussianState",
     "ThermalBath",
     "UnphysicalStateError",
@@ -28,10 +29,10 @@ __all__ = [
 ]
 
 PHYSICALITY_SLACK = 1e-9
-# The kernels' numeric domain: covariances with tr sigma <= 4 MAX_MOMENT + 2, as of a thermal state of MAX_MOMENT
-# quanta, and mean entries at most MAX_MOMENT in magnitude.  There the fidelity's largest term,
-# (det sigma_1 - 1)(det sigma_2 - 1), stays below 2e241, and no determinant or quadratic form leaves the floats.
-MAX_MOMENT = 1e60
+# The kernels' numeric domain, MAX_MOMENT = 1e60 from the package: covariances with tr sigma <= 4 MAX_MOMENT + 2,
+# as of a thermal state of MAX_MOMENT quanta, and mean entries at most MAX_MOMENT in magnitude.  There the
+# fidelity's largest term, (det sigma_1 - 1)(det sigma_2 - 1), stays below 2e241, and no determinant or
+# quadratic form leaves the floats.
 
 
 class UnphysicalStateError(ValueError):

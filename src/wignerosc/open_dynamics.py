@@ -82,6 +82,8 @@ class EvolutionRecord:
         asymptote = 2.0 * self.bath.mean_occupation + 1.0
         with np.errstate(over="ignore", invalid="ignore"):  # reported by validate_moments
             (f11, f12, f22), (m11, m12, m22) = _exchange(self.bath.decay_rate, self.params.gamma, self.times)
+            scale = _noise_scale(self.bath.decay_rate, self.params.gamma)
+            m12, m22 = scale * m12, scale * scale * m22
             cos, sin = np.cos(self.params.omega * self.times), np.sin(self.params.omega * self.times)
             flow = np.stack([f11, f12, -f12, f22], axis=-1).reshape(-1, 2, 2)
             turn = np.stack([cos, sin, -sin, cos], axis=-1).reshape(-1, 2, 2)  # R(omega t)
@@ -128,9 +130,15 @@ def thermalize_closed_form(state: GaussianState, bath: ThermalBath, t: float) ->
     return GaussianState(math.sqrt(decay) * state.mean, decay * state.cov + (1.0 - decay) * target)
 
 
+def _noise_scale(rate: float, gamma: float) -> float:
+    """s = min(1, |gamma| / (Gamma/4)): _exchange returns M12 / s and M22 / s^2."""
+    quarter, g = rate / 4.0, abs(gamma)
+    return 1.0 if g >= quarter else g / quarter
+
+
 def _exchange(rate: float, gamma: float, t: np.ndarray):
     """e^{Ct} = [[f11, f12], [-f12, f22]] and M(t) = I - e^{Ct} e^{C^T t} = [[m11, m12], [m12, m22]]
-    at the times t, as ((f11, f12, f22), (m11, m12, m22)).
+    at the times t, as ((f11, f12, f22), (m11, m12 / s, m22 / s^2)) with s = _noise_scale(rate, gamma).
 
     e^{Ct} = even(t) I + odd(t) B with B = C + Gamma/4, B^2 = -kappa^2, kappa^2 =
     (|gamma| - Gamma/4)(|gamma| + Gamma/4) taken as a product of square roots.  Above the
@@ -144,8 +152,13 @@ def _exchange(rate: float, gamma: float, t: np.ndarray):
     (:func:`_coupled_energy`), and, as o'' + (Gamma/2) o' + gamma^2 o = 0, M11 = Gamma int o'^2
     = Gamma (G + even odd).  These carry the factors Gamma and gamma and are exact at t = 0.
     Where 1 - |row|^2 of e^{Ct} is at least 1/2 it has no cancellation, and gives M11 or M22.
+    Below the exceptional point M22 falls as gamma^2 and leaves the floats first, at
+    |gamma| of about 1e-155: there the off-diagonal and M22 are returned divided by
+    s = |gamma| / (Gamma/4) and s^2, with gamma^2 replaced by (Gamma/4)^2 in G, so that the
+    matrix diag(1, 1/s) M diag(1, 1/s), positive semidefinite exactly when M is, stays in the floats.
     """
     quarter, g = rate / 4.0, abs(gamma)
+    coupling = max(g, quarter)  # |gamma| / s
     if g > quarter:
         kappa = math.sqrt(g - quarter) * math.sqrt(g + quarter)
         decay = np.exp(-quarter * t)
@@ -161,10 +174,16 @@ def _exchange(rate: float, gamma: float, t: np.ndarray):
     row1, row2 = 1.0 - f11 * f11 - f12 * f12, 1.0 - f12 * f12 - f22 * f22  # 1 - |row i|^2
     energy = np.zeros_like(t)
     need = (row1 < 0.5) | (row2 < 0.5)
-    energy[need] = _coupled_energy(quarter, g, t[need])
+    energy[need] = _coupled_energy(quarter, g, t[need], g)
+    spread = energy  # G / s^2
+    if coupling != g:
+        spread = np.zeros_like(t)
+        spread[need] = _coupled_energy(quarter, g, t[need], coupling)
     m11 = np.where(row1 >= 0.5, row1, rate * (energy + even * odd))
-    m22 = np.where(row2 >= 0.5, row2, rate * energy)
-    return (f11, f12, f22), (m11, -0.5 * rate * f12 * odd, m22)
+    m22 = rate * spread
+    far = row2 >= 0.5
+    m22[far] = row2[far] / _noise_scale(rate, gamma) ** 2
+    return (f11, f12, f22), (m11, -0.5 * rate * (math.copysign(coupling, gamma) * odd) * odd, m22)
 
 
 _SERIES_TERMS = 27  # m = 0..26: the terms fall by 4 or more each
@@ -172,16 +191,16 @@ _RECURRENCE_TOP = 70  # started from J_70 = 0: for x < 12 that moves J_2 > 1e-3 
 _INVERSE_FACTORIALS = [1.0 / math.factorial(n + 1) for n in range(_RECURRENCE_TOP)]
 
 
-def _coupled_energy(quarter: float, g: float, t: np.ndarray) -> np.ndarray:
-    """G = g^2 int_0^t o(s)^2 ds for the odd part o of e^{Ct}, g = |gamma|, at the times t.
+def _coupled_energy(quarter: float, g: float, t: np.ndarray, c: float) -> np.ndarray:
+    """c^2 int_0^t o(s)^2 ds for the odd part o of e^{Ct}, g = |gamma|, at the times t; G at c = g.
 
     With k = |kappa| and o = e^{-qs} sinh(ks)/k (sin for kappa real), q = Gamma/4:
     where k >= q/2 and k t >= 1 the closed form of the regime, each of its terms at
-    most about 10 times G; elsewhere the series
-    G = 2 (g t)^2 t sum_m (+-(2kt)^2)^m J_{2m+2}(2qt), J_n(x) = int_0^1 v^n e^{-xv} dv / n!,
+    most about 10 times the value; elsewhere the series
+    c^2 int_0^t o^2 = 2 (c t)^2 t sum_m (+-(2kt)^2)^m J_{2m+2}(2qt), J_n(x) = int_0^1 v^n e^{-xv} dv / n!,
     the sign + below the exceptional point.  Its terms fall by 4 or more each, and J_n
     comes from the downward recurrence J_n = e^{-x}/(n + 1)! + x J_{n+1}, which adds
-    positive terms only.  _exchange asks for G only where M11 or M22 < 1/2, and there
+    positive terms only.  _exchange asks for it only where M11 or M22 < 1/2, and there
     the series points have x = 2qt < 12.
     """
     k = math.sqrt(abs(g - quarter)) * math.sqrt(g + quarter)
@@ -197,10 +216,10 @@ def _coupled_energy(quarter: float, g: float, t: np.ndarray) -> np.ndarray:
         if under:  # (g/k)^2 (flat(2q) - Re int_0^t e^{-(2q - 2ik)s} ds) / 2
             decay, sin, cos = np.exp(-2.0 * quarter * tc), np.sin(k * tc), np.cos(k * tc)  # 2kt may overflow
             wave = (0.5 * (quarter / g) * (1.0 - decay * (cos - sin) * (cos + sin)) + (k / g) * decay * sin * cos) / g
-            out[closed] = 0.5 * (g / k) ** 2 * (flat(2.0 * quarter) - wave)
+            out[closed] = 0.5 * (c / k) ** 2 * (flat(2.0 * quarter) - wave)
         else:  # eigenvalues -a and -b of C: o = (e^{-as} - e^{-bs}) / (2k)
             b = quarter + k
-            out[closed] = (g / (2.0 * k)) ** 2 * (flat(2.0 * g * (g / b)) - 2.0 * flat(2.0 * quarter) + flat(2.0 * b))
+            out[closed] = (c / (2.0 * k)) ** 2 * (flat(2.0 * g * (g / b)) - 2.0 * flat(2.0 * quarter) + flat(2.0 * b))
     if ts.size:
         x, w = 2.0 * quarter * ts, 4.0 * (k * ts) ** 2 * (-1.0 if under else 1.0)
         damp, rise, total = np.exp(-x), np.zeros_like(ts), np.zeros_like(ts)
@@ -208,7 +227,7 @@ def _coupled_energy(quarter: float, g: float, t: np.ndarray) -> np.ndarray:
             rise = damp * _INVERSE_FACTORIALS[n] + x * rise  # J_n
             if n % 2 == 0 and n <= 2 * _SERIES_TERMS:
                 total = total * w + rise  # Horner in w = +-(2kt)^2
-        out[~closed] = 2.0 * (g * ts) ** 2 * ts * total
+        out[~closed] = 2.0 * (c * ts) ** 2 * ts * total
     return out
 
 
@@ -253,6 +272,7 @@ def evolve_coupled(
         cov1[:, 1, 1] += asymptote * m11
     _require_finite(t_grid, mean1, cov1, m11, m12, m22)
     _require_floor(cov1[:, None], t_grid)
+    # m12 and m22 come scaled by 1/s and 1/s^2, which keeps the certificate's sign and its entries in the floats
     uncertified = ~((m11 >= 0.0) & (m22 >= 0.0) & (np.abs(m12) <= np.sqrt(m11.clip(0.0)) * np.sqrt(m22.clip(0.0))))
     if uncertified.any():
         message = "the bath's M(t) is not positive semidefinite"

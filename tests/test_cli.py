@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -13,8 +14,6 @@ from wignerosc import __version__
 from wignerosc.cli import (
     KEYS,
     ConfigError,
-    _csv_text,
-    _json_text,
     load_config_file,
     main,
     parse_overrides,
@@ -23,6 +22,7 @@ from wignerosc.cli import (
     run_fig3,
     run_query,
 )
+from wignerosc.experiments import csv_text, json_text
 from wignerosc.gaussian_states import MAX_MOMENT
 
 FAST_FIG1 = [
@@ -270,6 +270,15 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             parse_overrides(["noequals"])
 
+    def test_successive_calls_share_no_state(self, capsys):
+        # one parser serves every call in a process; each call's --set list starts empty
+        assert main(["fig1", "--set", "physics.k=2", "--set", "physics.l=1", "--dump-config"]) == 0
+        first = capsys.readouterr().out
+        assert main(["fig1", "--set", "numeric.theta_min=0.5", "--dump-config"]) == 0
+        second = capsys.readouterr().out
+        assert "physics.k=2\n" in first and "physics.l=1\n" in first and "numeric.theta_min=0\n" in first
+        assert "physics.k=1\n" in second and "physics.l=0\n" in second and "numeric.theta_min=0.5\n" in second
+
 
 class TestFig1Command:
     def test_csv_schema_and_endpoints(self, tmp_path, capsys):
@@ -454,6 +463,18 @@ class TestFig3Command:
         assert table.shape == (21, 4) and np.isfinite(table).all()
         assert np.all((table[:, 1] >= 0.0) & (table[:, 1] <= 1.0))
 
+    # M22 = Gamma gamma^2 int o^2 leaves the floats below |gamma| of about 1e-155, but M(t) stays certified;
+    # so weak a coupling leaves mode 1 as at gamma = 0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", ["1e-160", "1e-300"])
+    def test_tiny_coupling_runs(self, gamma, tmp_path):
+        tables = []
+        for value in (gamma, "0"):
+            out = tmp_path / f"{value}.csv"
+            assert main(["fig3", "--out", str(out), "--set", f"physics.gamma={value}", "--set", "numeric.t_max=1"]) == 0
+            tables.append(np.loadtxt(out, delimiter=",", skiprows=1, comments="#"))
+        np.testing.assert_allclose(tables[0], tables[1], rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("value", ["3,0,0,0", "1,1,0.1,3", "1e200,1,1,1"])
     def test_displacement_beyond_adjusted_covariance_exits_2(self, value, tmp_path, capsys):
         # in vacuum units a displacement d carries |d|^2 / 4 quanta, more than nbar = 2 in one mode here;
@@ -624,8 +645,8 @@ ZERO_COHERENCE = ["physics.displacement=0,0,1,1", "physics.initial_covariance=th
         "fig3_zero_coherence", "special_values"])
 def test_writers_match_stdlib_formatting(build):
     experiment, result, cfg = build()
-    assert _json_text(experiment, result, cfg) == _stdlib_json(experiment, result, cfg)
-    assert _csv_text(result) == _per_cell_csv(result)
+    assert json_text(experiment, result, cfg) == _stdlib_json(experiment, result, cfg)
+    assert csv_text(result) == _per_cell_csv(result)
 
 
 # a base run and, for every key, a value other than its default that changes the run's data
@@ -714,15 +735,34 @@ def test_readme_library_example_runs():
     assert record.backflow_intervals
 
 
-def test_cli_import_pulls_in_no_scipy_or_mpmath():
-    # the command line stays numpy-only, so neither enters its start-up cost; nor does numpy.polynomial,
-    # which only the phase-space integrals need
+def _src() -> str:
     import wignerosc
 
-    src = str(Path(wignerosc.__file__).resolve().parents[1])
+    return str(Path(wignerosc.__file__).resolve().parents[1])
+
+
+def test_cli_import_pulls_in_no_scipy_or_mpmath():
+    # resolving, dumping and rejecting a configuration load no numeric module: neither scipy nor mpmath,
+    # which only the tests use, nor numpy, which a run imports when it starts computing
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import wignerosc.cli; "
-        "print(sorted(m for m in ('scipy', 'mpmath', 'numpy.polynomial') if m in sys.modules))"
+        "import sys; sys.path.insert(0, sys.argv[1]); import wignerosc.cli as cli; "
+        "codes = [cli.main(['fig3', '--dump-config']), cli.main(['fig1', '--set', 'physics.q=1'])]; "
+        "print(codes, sorted(m for m in ('scipy', 'mpmath', 'numpy') if m in sys.modules))"
     )
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, _src()], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 2] []"
+    assert out.stderr == "configuration error: unknown configuration key 'physics.q'\n"
+
+
+@pytest.mark.parametrize("argv,code,printed", [
+    (["fig3", "--set", "numeric.t_step=1e-300"], 2, "configuration error: numeric.t_step = 1e-300 gives 6e+300 points"),
+    (["fig1", "--set", "physics.k=400"], 3, "numeric failure: negativity at k + l = 400: "),
+], ids=["config_error", "numeric_failure"])
+def test_module_run_exit_codes(argv, code, printed, tmp_path):
+    # under python -m the CLI runs as __main__; the errors its runs raise are still the classes main catches
+    env = dict(os.environ, PYTHONPATH=_src())
+    proc = subprocess.run([sys.executable, "-m", "wignerosc.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(printed) and proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -2,8 +2,9 @@
 
 The callers are the command line (``cli.py``), the acceptance gate
 (``tests/test_acceptance.py``) and the README's library example.  Names are
-followed with ``ast`` through the imports and the bodies of the library's own
-top-level definitions; a definition that none of them reaches fails the test.
+followed with ``ast`` through the imports, at the top of a module or inside a
+function, and the bodies of the library's own top-level definitions; a
+definition that none of them reaches fails the test.
 """
 
 import ast
@@ -18,9 +19,12 @@ def _module_name(path: Path) -> str:
 
 
 def _imports(tree: ast.Module) -> dict[str, tuple[str, str]]:
-    """Names bound by the module's ``from wignerosc... import`` statements, each to (module, name)."""
+    """Names bound by the module's ``from wignerosc... import`` statements, each to (module, name).
+
+    An import inside a function counts too, as the command line imports its runs when they start.
+    """
     links = {}
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             source = node.module or ""
             if node.level:  # relative to the package

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,26 @@ class TestOutOfRange:
         with pytest.raises(UnphysicalStateError, match="M\\(t\\) is not positive semidefinite at t = 2$") as info:
             evolve_coupled(figure_initial(), PARAMS, BATH, np.arange(4.0))
         assert info.value.index == 2
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [1e-160, -1e-300])
+    def test_noise_below_the_floats_is_certified(self, gamma):
+        # M22 = Gamma gamma^2 int o^2 is below the floats here; _exchange returns M12 / s and M22 / s^2,
+        # s = |gamma| / (Gamma/4), which match 700-digit references, and M(t) is certified with them
+        t = np.array([0.0, 0.005, 0.05, 1.0, 10.0, 60.0, 600.0])
+        _, (m11, m12, m22) = open_dynamics._exchange(BATH.decay_rate, gamma, t)
+        assert m11[0] == m12[0] == m22[0] == 0.0
+        with mp.workdps(700):
+            s = abs(mp.mpf(gamma)) / (mp.mpf(BATH.decay_rate) / 4)
+            drift = mp.matrix([[-mp.mpf(BATH.decay_rate) / 2, gamma], [-gamma, 0]])
+            for i in range(1, t.size):
+                flow = mp.expm(drift * mp.mpf(t[i]))
+                m = mp.eye(2) - flow * flow.T
+                for got, want in ((m11[i], m[0, 0]), (m12[i], m[0, 1] / s), (m22[i], m[1, 1] / s**2)):
+                    assert got == pytest.approx(float(want), rel=1e-14)
+        record = evolve_coupled(figure_initial(), OscillatorParams(gamma=gamma), BATH, t)
+        assert np.isfinite(record.covs).all()
 
 
 class TestEvolveCoupled:
