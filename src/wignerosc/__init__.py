@@ -6,9 +6,11 @@ dissipative evolution with backflow detection, and a CLI that emits the
 standard experiment data sets.
 
 The package itself imports nothing: the library lives in its modules
-(``fock_dynamics``, ``info_measures``, ``gaussian_states``, ``open_dynamics``,
-``quadrature``), which load numpy, and the command line in ``cli``, which loads
-numpy only once a run starts computing.
+(``fock_dynamics``, ``info_measures``, ``gaussian_states``, ``open_dynamics``),
+which load numpy, and the command line in ``cli``, which loads numpy only once a
+run starts computing.  The modules import ``numpy.polynomial`` (Gauss rules and
+Laguerre values) in the functions that use it, so a run that needs none skips its
+import: about 3.6 ms, against 65-85 ms for numpy (``python -X importtime``, numpy 2.4.6).
 """
 
 __version__ = "0.1.0"

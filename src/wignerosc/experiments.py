@@ -58,7 +58,10 @@ def fig1(cfg: dict[str, str]) -> dict:
     keys = ("numeric.theta_min", "numeric.theta_max", "numeric.theta_step")
     lo, hi, step = (float(cfg[key]) for key in keys)
     thetas = _axis(lo, hi, step, keys[2])
-    probs = mode_populations(state, thetas)
+    try:
+        probs = mode_populations(state, thetas)
+    except OverflowError as exc:
+        raise NumericFailure(f"populations at k + l = {k + ell}: {exc}") from None
     # mode 2's populations are mode 1's reversed: one call takes both sweeps
     both = _negativity(np.concatenate([probs, probs[:, ::-1]]), k + ell)
     return {
@@ -149,7 +152,7 @@ def query(quantity: str, cfg: dict[str, str]) -> str:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             value = _query_value(quantity, cfg)
-        except OverflowError as exc:  # an integer too large for a float
+        except OverflowError as exc:  # an integer too large for a float, or phases of an angle past the floats
             raise NumericFailure(f"{quantity} is not finite at these inputs: {exc}") from None
     if not math.isfinite(value):
         raise NumericFailure(f"{quantity} is not finite ({value}) at these inputs")

@@ -34,8 +34,6 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import laguerre
-
 __all__ = [
     "FockPairState",
     "OscillatorParams",
@@ -117,15 +115,18 @@ def pair_field(state: FockPairState, t: float = 0.0) -> WignerField:
     mode planes by theta = gamma*t; the envelope is invariant under that
     rotation, so only the Laguerre radii rotate.
     """
+    from numpy.polynomial.laguerre import lagval
+
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     norm = (-1.0 if (state.k + state.ell) % 2 else 1.0) / math.pi**2
     c, s = math.cos(state.params.gamma * t), math.sin(state.params.gamma * t)
+    unit_k, unit_l = ([0.0] * n + [1.0] for n in (state.k, state.ell))  # L_n as a Laguerre series
 
     def profile(x1, y1, x2, y2):
         rho1 = (c * x1 - s * x2) ** 2 + (c * y1 - s * y2) ** 2
         rho2 = (s * x1 + c * x2) ** 2 + (s * y1 + c * y2) ** 2
-        return norm * laguerre(state.k, 2 * rho1) * laguerre(state.ell, 2 * rho2)
+        return norm * lagval(2 * rho1, unit_k) * lagval(2 * rho2, unit_l)
 
     return WignerField(profile, 2 * (state.k + state.ell))
 
@@ -140,7 +141,8 @@ def mode_populations(state: FockPairState, t, mode: int = 1) -> np.ndarray:
     at every mixing angle theta = gamma*t at once (Campos, Saleh & Teich,
     PRA 40, 1371, 1989).  Mode 2 holds N - j quanta when mode 1 holds j,
     so its populations are mode 1's reversed.  The result has t's shape
-    plus a trailing axis of length N + 1.
+    plus a trailing axis of length N + 1.  An angle whose phases theta*lambda
+    leave the floats raises OverflowError naming it.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
@@ -151,6 +153,11 @@ def mode_populations(state: FockPairState, t, mode: int = 1) -> np.ndarray:
     j = np.arange(total)
     off = np.sqrt((j + 1.0) * (total - j))
     lam, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    amps = (np.exp(-1j * theta[..., None] * lam) * vec[int(state.k)]) @ vec.T
+    with np.errstate(over="ignore"):  # phases past the floats are named below
+        phase = theta[..., None] * lam
+    if not np.isfinite(phase).all():
+        first = theta[~np.isfinite(phase).all(axis=-1)].flat[0]
+        raise OverflowError(f"the phases theta * lambda leave the floats at theta = {first:.6g}")
+    amps = (np.exp(-1j * phase) * vec[int(state.k)]) @ vec.T
     probs = amps.real**2 + amps.imag**2
     return probs if mode == 1 else probs[..., ::-1]

@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from .fock_dynamics import FockPairState, WignerField, mode_populations
-from .quadrature import laguerre_table
 
 __all__ = [
     "MAX_QUANTA",
@@ -38,7 +37,6 @@ def _envelope_points(field: WignerField, squared: bool):
     exp(-2|z|^2), the combined weights and the Jacobian scale^-2 of the substitution.
     A rule of more than 64 nodes, whose 4-d grid passes 2^24 points, is a ValueError.
     """
-    # imported here: numpy.polynomial adds ~25 ms to every start-up of the command line, which never integrates
     from numpy.polynomial.hermite import hermgauss
 
     nodes = max(8, field.degree + 1 if squared else field.degree // 2 + 1)
@@ -104,11 +102,13 @@ class NegativityError(ArithmeticError):
 def _scaled_table(n: int, v: np.ndarray) -> np.ndarray:
     """e^{-v/2} L_j(v) for j = 0..n; every entry lies in [-1, 1] for v >= 0.
 
-    The recurrence runs unscaled, so past n = MAX_QUANTA it leaves the
-    floats on the negativity scan; that raises NegativityError.
+    numpy's lagvander runs the three-term recurrence unscaled, so past n = MAX_QUANTA
+    it leaves the floats on the negativity scan; that raises NegativityError.
     """
+    from numpy.polynomial.laguerre import lagvander
+
     with np.errstate(over="ignore", invalid="ignore"):
-        table = laguerre_table(n, v) * np.exp(-0.5 * v)
+        table = np.moveaxis(lagvander(v, n), -1, 0) * np.exp(-0.5 * v)
     if not np.isfinite(table).all():
         raise NegativityError(
             f"the Laguerre values of order {n} leave the floats on the negativity scan "

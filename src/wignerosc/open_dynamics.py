@@ -210,8 +210,9 @@ def _coupled_energy(quarter: float, g: float, t: np.ndarray, c: float) -> np.nda
     tc, ts = t[closed], t[~closed]
     if tc.size:
 
-        def flat(c):  # int_0^t e^{-cs} ds
-            return tc if c == 0.0 else -np.expm1(-c * tc) / c
+        def flat(c):  # int_0^t e^{-cs} ds; t where x = c t is below the normal floats, as e^{-x} = 1 - x there
+            x = c * tc
+            return np.divide(-np.expm1(-x), c, out=tc.copy(), where=x >= np.finfo(float).tiny)
 
         if under:  # (g/k)^2 (flat(2q) - Re int_0^t e^{-(2q - 2ik)s} ds) / 2
             decay, sin, cos = np.exp(-2.0 * quarter * tc), np.sin(k * tc), np.cos(k * tc)  # 2kt may overflow

@@ -92,6 +92,22 @@ class TestQuery:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,theta", [
+        (["query", "negativity", "k=2", "l=1", "theta=1.7e308"], "1.7e+308"),
+        (["fig1", "--set", "physics.k=2", "--set", "physics.l=1", "--set", "numeric.theta_max=1.7e308",
+          "--set", "numeric.theta_step=1e307", "--out", "f.csv"], "6e+307"),
+    ], ids=["query", "fig1"])
+    def test_huge_mixing_angle_exits_3(self, argv, theta, tmp_path, monkeypatch, capsys):
+        # the phases theta * lambda of the pair's generator pass the floats; the first such angle is named
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numeric failure: ")
+        assert err.endswith(f"the phases theta * lambda leave the floats at theta = {theta}\n")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("params,code,printed", [
         (["eigen", "k=1", "l=0", "gamma=1e308", "hbar=10"], 3, ""),  # hbar * gamma overflows
         (["coherence", "nbar=0", "d=1e200,0"], 2, "d"),  # |d|^2 would pass the floats
@@ -453,14 +469,20 @@ class TestFig3Command:
         )
         assert not out.exists()
 
-    # Inputs that overflowed: the step maps at gamma = 1e300, for which the closed form is exact
+    # Inputs that failed: the step maps overflowed at gamma = 1e300, for which the closed form is exact, and at
+    # Gamma of 1e200 and 1e300 the overdamped M22, which integrates e^{-cs} with c t below the normal floats,
+    # left the certificate
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("sets", [["physics.gamma=1e300"]], ids=["gamma=1e300"])
-    def test_former_overflows_run(self, sets, tmp_path):
+    @pytest.mark.parametrize("sets,rows", [
+        (["physics.gamma=1e300", "numeric.t_max=1", "numeric.t_step=0.05"], 21),
+        (["physics.decay_rate=1e200", "numeric.t_max=60", "numeric.t_step=0.5"], 121),
+        (["physics.decay_rate=1e300", "numeric.t_max=60", "numeric.t_step=0.5"], 121),
+    ], ids=["gamma=1e300", "decay_rate=1e200", "decay_rate=1e300"])
+    def test_former_overflows_run(self, sets, rows, tmp_path):
         out = tmp_path / "f.csv"
-        assert main(["fig3", "--out", str(out), *[f for key in sets for f in ("--set", key)], *FAST_FIG3]) == 0
+        assert main(["fig3", "--out", str(out), *[f for key in sets for f in ("--set", key)]]) == 0
         table = np.loadtxt(out, delimiter=",", skiprows=1, comments="#")
-        assert table.shape == (21, 4) and np.isfinite(table).all()
+        assert table.shape == (rows, 4) and np.isfinite(table).all()
         assert np.all((table[:, 1] >= 0.0) & (table[:, 1] <= 1.0))
 
     # M22 = Gamma gamma^2 int o^2 leaves the floats below |gamma| of about 1e-155, but M(t) stays certified;

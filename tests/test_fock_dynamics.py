@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_hermite
+from scipy.special import eval_laguerre, roots_hermite
 
 import oracles
 from wignerosc.fock_dynamics import (
@@ -12,7 +12,6 @@ from wignerosc.fock_dynamics import (
     mode_populations,
     pair_field,
 )
-from wignerosc.quadrature import laguerre
 
 DEFAULT = OscillatorParams()
 COUPLED = OscillatorParams(gamma=0.1)
@@ -22,7 +21,7 @@ OFF_UNIT_MODELS = [(1.0, 1.0, 0.0), (3.0, 1.0, 0.35), (0.7, 0.5, 0.2)]  # (omega
 def fock_1d(n, q, p):
     """Single-mode number-state Wigner function in vacuum units, written out directly."""
     s = q * q + p * p
-    return (-1.0) ** n / math.pi * np.exp(-s) * laguerre(n, 2.0 * s)
+    return (-1.0) ** n / math.pi * np.exp(-s) * eval_laguerre(n, 2.0 * s)
 
 
 def exact_rule(k, ell):

@@ -206,6 +206,21 @@ class TestOutOfRange:
         record = evolve_coupled(figure_initial(), OscillatorParams(gamma=gamma), BATH, t)
         assert np.isfinite(record.covs).all()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate", [1e155, 1e160, 1e200, 1e300])
+    def test_overdamped_noise_at_huge_rates(self, rate):
+        # at Gamma t of order 1 the exponents 2 gamma^2 t / b of the overdamped M22 fall below the normal
+        # floats, where int_0^t e^{-cs} ds is t to the last bit; M22 / s^2 matches 1000-digit references
+        gamma, scaled = 0.1, np.array([0.5, 4.0, 60.0])
+        _, (_, _, m22) = open_dynamics._exchange(rate, gamma, scaled / rate)
+        with mp.workdps(1000):
+            s = mp.mpf(gamma) / (mp.mpf(rate) / 4)
+            drift = mp.matrix([[-mp.mpf(rate) / 2, gamma], [-gamma, 0]])
+            for got, gt in zip(m22, scaled):
+                flow = mp.expm(drift * mp.mpf(gt / rate))
+                want = (1 - flow[1, 0] ** 2 - flow[1, 1] ** 2) / s**2
+                assert abs(got - want) <= 1e-14 * abs(want)
+
 
 class TestEvolveCoupled:
     def test_uncoupled_matches_closed_form_entrywise(self):

@@ -6,46 +6,6 @@ import pytest
 from oracles import PhaseSpaceGrid, integrate_grid
 from wignerosc.fock_dynamics import FockPairState, OscillatorParams, WignerField, pair_field
 from wignerosc.info_measures import linear_entropy, normalization
-from wignerosc.quadrature import laguerre, laguerre_table
-
-
-class TestLaguerre:
-    def test_order_zero_is_one(self):
-        assert laguerre(0, 3.7) == 1.0
-
-    def test_order_one(self):
-        assert laguerre(1, 2.0) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_order_two(self):
-        # 1 - 2x + x^2/2 at x = 2
-        assert laguerre(2, 2.0) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_vectorized(self):
-        x = np.linspace(-3, 3, 11)
-        assert np.allclose(laguerre(1, x), 1.0 - x)
-
-    def test_recurrence_identity(self):
-        x = np.linspace(-50.0, 50.0, 401)
-        for n in range(1, 21):
-            lhs = (n + 1) * laguerre(n + 1, x)
-            rhs = (2 * n + 1 - x) * laguerre(n, x) - n * laguerre(n - 1, x)
-            scale = np.maximum(np.abs(lhs), 1.0)
-            assert np.max(np.abs(lhs - rhs) / scale) < 1e-12
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            laguerre(-1, 0.0)
-        with pytest.raises(ValueError):
-            laguerre(2, math.nan)
-        with pytest.raises(ValueError):
-            laguerre_table(3, [0.0, math.inf])
-
-    def test_table_rows_are_orders(self):
-        x = np.linspace(0.0, 40.0, 7).reshape(7, 1)
-        table = laguerre_table(6, x)
-        assert table.shape == (7, 7, 1)
-        for n in range(7):
-            assert np.array_equal(table[n], laguerre(n, x))
 
 
 def absolute_moment(power, a):
