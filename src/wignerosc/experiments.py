@@ -13,9 +13,10 @@ import math
 import numpy as np
 
 from . import ConfigError, NumericFailure, __version__
+from .floattext import json_join
 from .fock_dynamics import FockPairState, OscillatorParams, energy, mode_populations
 from .gaussian_states import GaussianState, ThermalBath, coherence, fidelity, state_to_record
-from .info_measures import MAX_QUANTA, NegativityError, mutual_information, negativity
+from .info_measures import MAX_QUANTA, NegativityError, negativity, pair_information
 from .open_dynamics import backflow_intervals, evolve_coupled, rising_intervals
 
 
@@ -67,7 +68,7 @@ def fig1(cfg: dict[str, str]) -> dict:
     return {
         "columns": {
             "theta": thetas,
-            "mutual_information": mutual_information(state, thetas),
+            "mutual_information": pair_information(probs),
             "negativity_mode1": both[: thetas.size],
             "negativity_mode2": both[thetas.size:],
         },
@@ -174,14 +175,26 @@ def csv_text(result: dict) -> str:
 
 
 _JSON_ITEM = ",\n      "  # separator of a column's values at indent=2, depth 3
+# numpy's fixed cost of about 0.3 ms per column loses to the C encoder below this many values
+_NUMPY_JSON_MIN = 1000
+
+
+def _json_column(values: np.ndarray) -> str:
+    """The column's values as json.dumps writes them, joined by _JSON_ITEM."""
+    if values.size >= _NUMPY_JSON_MIN:
+        return json_join(values, _JSON_ITEM)
+    return json.dumps(values.tolist(), separators=(_JSON_ITEM, ": "))[1:-1]
 
 
 def json_text(experiment: str, result: dict, cfg: dict[str, str]) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) of the result, byte for byte.
 
     indent=2 falls back to the pure-Python encoder, so the columns, which
-    sort first, are encoded one at a time by the C encoder (indent=None)
-    with the indented separator and spliced into the text of the rest.
+    sort first, are written one at a time with the indented separator and
+    spliced into the text of the rest.  A column of fewer than
+    _NUMPY_JSON_MIN values goes through the C encoder (indent=None); a
+    longer one through floattext.json_join, which finds the same
+    shortest round-trip digits for all its values at once in numpy.
     """
     payload = {
         "experiment": experiment,
@@ -192,9 +205,7 @@ def json_text(experiment: str, result: dict, cfg: dict[str, str]) -> str:
     if "initial_state" in result:
         payload["metadata"]["initial_state"] = result["initial_state"]
     columns = ",\n".join(
-        f"    {json.dumps(name)}: [\n      "
-        + json.dumps(np.asarray(values, dtype=float).tolist(), separators=(_JSON_ITEM, ": "))[1:-1]
-        + "\n    ]"
+        f"    {json.dumps(name)}: [\n      " + _json_column(np.asarray(values, dtype=float)) + "\n    ]"
         for name, values in sorted(result["columns"].items())
     )
     rest = json.dumps(payload, sort_keys=True, indent=2)

@@ -119,8 +119,11 @@ def pair_field(state: FockPairState, t: float = 0.0) -> WignerField:
 
     if not math.isfinite(t):
         raise ValueError("time must be finite")
+    theta = state.params.gamma * t
+    if not math.isfinite(theta):
+        raise OverflowError(f"the mixing angle gamma * t leaves the floats at t = {t:.6g}")
     norm = (-1.0 if (state.k + state.ell) % 2 else 1.0) / math.pi**2
-    c, s = math.cos(state.params.gamma * t), math.sin(state.params.gamma * t)
+    c, s = math.cos(theta), math.sin(theta)
     unit_k, unit_l = ([0.0] * n + [1.0] for n in (state.k, state.ell))  # L_n as a Laguerre series
 
     def profile(x1, y1, x2, y2):
@@ -141,19 +144,24 @@ def mode_populations(state: FockPairState, t, mode: int = 1) -> np.ndarray:
     at every mixing angle theta = gamma*t at once (Campos, Saleh & Teich,
     PRA 40, 1371, 1989).  Mode 2 holds N - j quanta when mode 1 holds j,
     so its populations are mode 1's reversed.  The result has t's shape
-    plus a trailing axis of length N + 1.  An angle whose phases theta*lambda
-    leave the floats raises OverflowError naming it.
+    plus a trailing axis of length N + 1.  A time whose angle gamma*t, or an
+    angle whose phases theta*lambda, leave the floats raises OverflowError
+    naming it; a time that is not finite raises ValueError.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    theta = state.params.gamma * np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(theta)):
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
     total = int(state.k + state.ell)
     j = np.arange(total)
     off = np.sqrt((j + 1.0) * (total - j))
     lam, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    with np.errstate(over="ignore"):  # phases past the floats are named below
+    with np.errstate(over="ignore"):  # angles and phases past the floats are named below
+        theta = state.params.gamma * t
+        if not np.isfinite(theta).all():
+            first = t[~np.isfinite(theta)].flat[0]
+            raise OverflowError(f"the mixing angle gamma * t leaves the floats at t = {first:.6g}")
         phase = theta[..., None] * lam
     if not np.isfinite(phase).all():
         first = theta[~np.isfinite(phase).all(axis=-1)].flat[0]

@@ -27,6 +27,7 @@ __all__ = [
     "mutual_information",
     "negativity",
     "normalization",
+    "pair_information",
 ]
 
 
@@ -76,18 +77,27 @@ def mutual_information(state: FockPairState, t=0.0):
     """S(W_1) + S(W_2) - S(W) between the two modes of the evolving pair.
 
     The joint state is pure and both marginals carry the same populations,
-    so this is exactly 2 (1 - sum_j P_j^2) = 4 sum_{i<j} P_i P_j; t may be
-    an array of times.  The pair sum has no cancellation near product
-    states, is never negative and is capped at its maximum 2N/(N+1), which
-    roundoff could pass by an ulp.  Zero for product states.
+    so this is exactly 2 (1 - sum_j P_j^2) = 4 sum_{i<j} P_i P_j, which
+    pair_information evaluates; t may be an array of times.  Zero for
+    product states.
     """
     if not isinstance(state, FockPairState):
         raise TypeError(f"mutual information needs a FockPairState, got {type(state).__name__}")
-    probs = mode_populations(state, t)
-    below = np.cumsum(probs, axis=-1)[..., :-1]  # sum_{i<j} P_i for j = 1..N
-    total = state.k + state.ell
-    info = np.minimum(4.0 * np.sum(probs[..., 1:] * below, axis=-1), 2.0 * total / (total + 1))
+    info = pair_information(mode_populations(state, t))
     return float(info) if info.ndim == 0 else info
+
+
+def pair_information(probs: np.ndarray) -> np.ndarray:
+    """4 sum_{i<j} P_i P_j over the trailing axis of one mode's populations P_0..P_N.
+
+    The mutual information of a pure pair whose modes share these
+    populations.  The pair sum has no cancellation near product states, is
+    never negative and is capped at its maximum 2N/(N+1), which roundoff
+    could pass by an ulp.
+    """
+    below = np.cumsum(probs, axis=-1)[..., :-1]  # sum_{i<j} P_i for j = 1..N
+    total = probs.shape[-1] - 1
+    return np.minimum(4.0 * np.sum(probs[..., 1:] * below, axis=-1), 2.0 * total / (total + 1))
 
 
 MAX_QUANTA = 313  # largest N whose negativity scan stays in the floats

@@ -22,7 +22,7 @@ from wignerosc.cli import (
     run_fig3,
     run_query,
 )
-from wignerosc.experiments import csv_text, json_text
+from wignerosc.experiments import _NUMPY_JSON_MIN, csv_text, json_text
 from wignerosc.gaussian_states import MAX_MOMENT
 
 FAST_FIG1 = [
@@ -642,15 +642,28 @@ def _fig3(*sets, gamma=0.1):
     return "fig3", run_fig3(cfg, gamma), cfg
 
 
-def _special_values():
+def _special_values(repeat=1):
     experiment, result, cfg = _fig3(*FAST_FIG3[1::2])
-    cells = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.79e308, 0.1, 1 / 3, 1e16, 1e-5]
+    cells = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.79e308, 0.1, 1 / 3, 1e16, 1e-5] * repeat
     result["columns"] = {"t": np.arange(len(cells), dtype=float), "value": np.array(cells)}
     result["summary"].update(backflow_intervals=[], coherence_rise_intervals=[])
     return experiment, result, cfg
 
 
 ZERO_COHERENCE = ["physics.displacement=0,0,1,1", "physics.initial_covariance=thermal"]
+
+
+# runs whose columns the JSON writer formats in numpy, as they hold at least _NUMPY_JSON_MIN values
+LONG_CASES = [
+    lambda: _fig3(),  # the default run, 1,201 rows
+    lambda: _fig3(*ZERO_COHERENCE, gamma=0.5),  # Infinity in a long column
+    lambda: _special_values(repeat=100),
+]
+
+
+def test_long_cases_reach_the_numpy_writer():
+    for build in LONG_CASES:
+        assert min(len(values) for values in build()[1]["columns"].values()) >= _NUMPY_JSON_MIN
 
 
 @pytest.mark.parametrize("build", [
@@ -663,8 +676,10 @@ ZERO_COHERENCE = ["physics.displacement=0,0,1,1", "physics.initial_covariance=th
     lambda: _fig3("numeric.t_max=0.004"),  # one row
     lambda: _fig3(*FAST_FIG3[1::2], *ZERO_COHERENCE, gamma=0.5),  # infinite normalized coherence
     _special_values,
+    *LONG_CASES,
 ], ids=["fig1", "fig1_21", "fig1_one_row", "fig3", "fig3_gamma0", "fig3_gamma0.1", "fig3_one_row",
-        "fig3_zero_coherence", "special_values"])
+        "fig3_zero_coherence", "special_values", "fig3_default", "fig3_default_zero_coherence",
+        "special_values_long"])
 def test_writers_match_stdlib_formatting(build):
     experiment, result, cfg = build()
     assert json_text(experiment, result, cfg) == _stdlib_json(experiment, result, cfg)

@@ -200,6 +200,23 @@ class TestEvolvedWigner:
         assert purity == pytest.approx(1.0, abs=1e-8)
 
 
+class TestAngleOverflow:
+    # gamma * t passes the floats at a finite t: an OverflowError naming that time, with no numpy warning
+    STATE = FockPairState(2, 1, OscillatorParams(gamma=10.0))
+
+    def test_populations_name_the_time(self):
+        with pytest.raises(OverflowError, match=r"gamma \* t leaves the floats at t = 1e\+308"):
+            mode_populations(self.STATE, np.array([1.0, 1e308]))
+        with pytest.raises(ValueError, match="time must be finite"):
+            mode_populations(self.STATE, math.inf)
+
+    def test_field_names_the_time(self):
+        with pytest.raises(OverflowError, match=r"gamma \* t leaves the floats at t = 1e\+308"):
+            pair_field(self.STATE, 1e308)
+        with pytest.raises(ValueError, match="time must be finite"):
+            pair_field(self.STATE, math.nan)
+
+
 class TestMarginal:
     @pytest.mark.parametrize("k,ell", [(1, 0), (2, 1), (0, 3), (4, 4)])
     def test_populations_match_enumeration(self, k, ell):
