@@ -224,13 +224,13 @@ def _run_experiment(args) -> int:
     targets = [out] if len(gammas) == 1 else [
         out.with_name(f"{out.stem}_gamma{gamma}{out.suffix}") for gamma in gammas
     ]
-    # every run first, so that a failing value leaves no file
+    # every run and every file's bytes first, so that a failing value leaves no file
     results = [run_fig1(cfg) if gamma is None else run_fig3(cfg, float(gamma)) for gamma in gammas]
     from .experiments import csv_text, json_text
 
-    for result, target in zip(results, targets):
-        text = csv_text(result) if fmt == "csv" else json_text(args.command, result, cfg)
-        target.write_text(text)
+    files = [csv_text(result) if fmt == "csv" else json_text(args.command, result, cfg) for result in results]
+    for data, target in zip(files, targets):
+        target.write_bytes(data)
         print(target)
     return 0
 

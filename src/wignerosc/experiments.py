@@ -160,18 +160,19 @@ def query(quantity: str, cfg: dict[str, str]) -> str:
     return f"{value:.12g}" + (" bits" if quantity == "coherence" else "")
 
 
-def csv_text(result: dict) -> str:
+def csv_text(result: dict) -> bytes:
+    """The result's columns as CSV, then the backflow summary as '#' lines, in the file's bytes."""
     columns = result["columns"]
     table = np.array(list(columns.values()), dtype=float).T
-    # one C-level % over every cell; "%.17g" % x is format(x, ".17g"), inf, nan and -0 included
-    row = ",".join(["%.17g"] * table.shape[1])
-    lines = [",".join(columns), "\n".join([row] * len(table)) % tuple(table.ravel().tolist())]
+    # one C-level % over every cell; b"%.17g" % x is format(x, ".17g"), inf, nan and -0 included
+    row = b",".join([b"%.17g"] * table.shape[1])
+    lines = [",".join(columns).encode(), b"\n".join([row] * len(table)) % tuple(table.ravel().tolist())]
     summary = result.get("summary")
     if summary:
-        lines.append(f"# backflow_intervals,{len(summary['backflow_intervals'])}")
+        lines.append(b"# backflow_intervals,%d" % len(summary["backflow_intervals"]))
         for a, b in summary["backflow_intervals"]:
-            lines.append("# backflow_interval,%.17g,%.17g" % (a, b))
-    return "\n".join(lines) + "\n"
+            lines.append(b"# backflow_interval,%.17g,%.17g" % (a, b))
+    return b"\n".join([*lines, b""])
 
 
 _JSON_ITEM = ",\n      "  # separator of a column's values at indent=2, depth 3
@@ -179,19 +180,19 @@ _JSON_ITEM = ",\n      "  # separator of a column's values at indent=2, depth 3
 _NUMPY_JSON_MIN = 1000
 
 
-def _json_column(values: np.ndarray) -> str:
+def _json_column(values: np.ndarray) -> bytes:
     """The column's values as json.dumps writes them, joined by _JSON_ITEM."""
     if values.size >= _NUMPY_JSON_MIN:
-        return json_join(values, _JSON_ITEM)
-    return json.dumps(values.tolist(), separators=(_JSON_ITEM, ": "))[1:-1]
+        return json_join(values, _JSON_ITEM.encode())
+    return json.dumps(values.tolist(), separators=(_JSON_ITEM, ": "))[1:-1].encode()
 
 
-def json_text(experiment: str, result: dict, cfg: dict[str, str]) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2) of the result, byte for byte.
+def json_text(experiment: str, result: dict, cfg: dict[str, str]) -> bytes:
+    """The bytes of json.dumps(payload, sort_keys=True, indent=2) of the result, and a newline.
 
     indent=2 falls back to the pure-Python encoder, so the columns, which
-    sort first, are written one at a time with the indented separator and
-    spliced into the text of the rest.  A column of fewer than
+    sort first, are written one at a time with the indented separator, and
+    one join puts them before the text of the rest.  A column of fewer than
     _NUMPY_JSON_MIN values goes through the C encoder (indent=None); a
     longer one through floattext.json_join, which finds the same
     shortest round-trip digits for all its values at once in numpy.
@@ -204,9 +205,10 @@ def json_text(experiment: str, result: dict, cfg: dict[str, str]) -> str:
         payload["summary"] = result["summary"]  # json writes the interval tuples as lists
     if "initial_state" in result:
         payload["metadata"]["initial_state"] = result["initial_state"]
-    columns = ",\n".join(
-        f"    {json.dumps(name)}: [\n      " + _json_column(np.asarray(values, dtype=float)) + "\n    ]"
-        for name, values in sorted(result["columns"].items())
-    )
+    parts = [b'{\n  "columns": {\n']
+    for i, (name, values) in enumerate(sorted(result["columns"].items())):
+        head = b"%s    %s: [\n      " % (b",\n" if i else b"", json.dumps(name).encode())
+        parts += [head, _json_column(np.asarray(values, dtype=float)), b"\n    ]"]
     rest = json.dumps(payload, sort_keys=True, indent=2)
-    return '{\n  "columns": {\n' + columns + "\n  },\n" + rest[2:] + "\n"
+    parts.append(("\n  },\n" + rest[2:] + "\n").encode())
+    return b"".join(parts)

@@ -1,9 +1,10 @@
 """Python's shortest round-trip text of many floats at once, computed in numpy.
 
-``json_join(values, sep)`` returns ``sep.join(json.dumps(v) for v in values)``
-byte for byte.  ``float.__repr__`` finds each value's digits with bignum
-arithmetic, about 0.6 us for a 17-digit value; here the digits of every
-value come from a few dozen numpy passes, and one ``%`` writes them all.
+``json_join(values, sep)`` returns the bytes of
+``sep.join(json.dumps(v) for v in values)``.  ``float.__repr__`` finds each
+value's digits with bignum arithmetic, about 0.6 us for a 17-digit value;
+here the digits of every value come from a few dozen numpy passes, and one
+bytes ``%`` writes them all.
 
 Each |x| is scaled to s = |x| 10^-k = N + r, a 17-digit integer N and a
 remainder r, by an error-free product against 10^-k held as hi + lo
@@ -106,19 +107,19 @@ def _shortest(a):
     return D, n, E, bad
 
 
-def _template(key: int) -> str:
+def _template(key: int) -> bytes:
     """The % template of one layout key of json_join, with one %d (two for ddd.ddd)."""
     key, e = divmod(key, 1024)
     key, zeros = divmod(key, 32)
     key, lead = divmod(key, 1000)
     form, neg = divmod(key, 2)
-    z = "0" * zeros
-    body = ("0." + z + "%d", "%d" + z + ".0", f"{lead}." + z + "%d", "%d." + z + "%d", "%d")[form]
-    return ("-" if neg else "") + body + ("e%+03d" % (e - 512) if e else "")
+    z = b"0" * zeros
+    body = (b"0." + z + b"%d", b"%d" + z + b".0", b"%d." % lead + z + b"%d", b"%d." + z + b"%d", b"%d")[form]
+    return (b"-" if neg else b"") + body + (b"e%+03d" % (e - 512) if e else b"")
 
 
-def json_join(values, sep: str) -> str:
-    """sep.join(json.dumps(v) for v in values) for a 1-d float array, byte for byte."""
+def json_join(values, sep: bytes) -> bytes:
+    """The bytes of sep.join(json.dumps(v) for v in values) for a 1-d float array and a bytes sep."""
     x = np.asarray(values, dtype=float)
     a = np.abs(x)
     with np.errstate(invalid="ignore"):  # NaN compares false
@@ -142,10 +143,11 @@ def json_join(values, sep: str) -> str:
     keys, which = np.unique(key, return_inverse=True)
     slow = np.flatnonzero(~fast)
     bits, same = np.unique(x[slow].view(np.int64), return_inverse=True)  # -0.0 is not 0.0 here
-    templates = [_template(k) for k in keys.tolist()] + [json.dumps(v) for v in bits.view(float).tolist()]
+    special = [json.dumps(v).encode() for v in bits.view(float).tolist()]
+    templates = np.array([_template(k) for k in keys.tolist()] + special, dtype=object)
     order = np.empty(x.size, np.intp)
     order[i], order[slow] = which, keys.size + same
     args = np.where(form == 2, tail, np.where(form == 3, lead, D))
     if (form == 3).any():  # ddd.0ddd converts the lead, then the tail
         args = np.stack([args, tail], axis=1)[np.stack([np.ones_like(positional), form == 3], axis=1)]
-    return sep.replace("%", "%%").join([templates[t] for t in order.tolist()]) % tuple(args.tolist())
+    return sep.replace(b"%", b"%%").join(templates[order].tolist()) % tuple(args.tolist())

@@ -34,9 +34,11 @@ __all__ = [
 def _envelope_points(field: WignerField, squared: bool):
     """Gauss-Hermite points exact for the field's profile, or for its square when squared.
 
-    Returns the 4-d grids of nodes x / sqrt(scale), scale 2 for the square's envelope
-    exp(-2|z|^2), the combined weights and the Jacobian scale^-2 of the substitution.
-    A rule of more than 64 nodes, whose 4-d grid passes 2^24 points, is a ValueError.
+    Returns the nodes x / sqrt(scale) as four open grids, each laid along its own
+    axis of a 4-d array so that they broadcast against one another, scale 2 for
+    the square's envelope exp(-2|z|^2); the combined weights, the one full 4-d
+    array; and the Jacobian scale^-2 of the substitution.  A rule of more than
+    64 nodes, whose 4-d grid passes 2^24 points, is a ValueError.
     """
     from numpy.polynomial.hermite import hermgauss
 
@@ -45,7 +47,7 @@ def _envelope_points(field: WignerField, squared: bool):
         raise ValueError(f"a field of degree {field.degree} needs {nodes} Gauss-Hermite nodes, more than 64")
     x, weight = hermgauss(nodes)
     scale = 2.0 if squared else 1.0
-    grids = np.meshgrid(*[x / math.sqrt(scale)] * 4, indexing="ij")
+    grids = np.meshgrid(*[x / math.sqrt(scale)] * 4, indexing="ij", sparse=True)
     return grids, math.prod(np.ix_(*[weight] * 4)), scale**-2
 
 

@@ -682,8 +682,30 @@ def test_long_cases_reach_the_numpy_writer():
         "special_values_long"])
 def test_writers_match_stdlib_formatting(build):
     experiment, result, cfg = build()
-    assert json_text(experiment, result, cfg) == _stdlib_json(experiment, result, cfg)
-    assert csv_text(result) == _per_cell_csv(result)
+    assert json_text(experiment, result, cfg) == _stdlib_json(experiment, result, cfg).encode()
+    assert csv_text(result) == _per_cell_csv(result).encode()
+
+
+@pytest.mark.parametrize("command,sets,fmt,rows", [
+    ("fig1", [], "csv", 201),
+    ("fig1", ["physics.k=2", "physics.l=1"], "json", 201),
+    ("fig3", [], "json", 1201),  # columns long enough for the numpy writer
+    ("fig3", [*FAST_FIG3[1::2], "physics.gamma=0,0.1"], "csv", 21),  # two files
+], ids=["fig1_csv", "fig1_21_json", "fig3_json", "fig3_two_gammas_csv"])
+def test_written_file_is_the_writers_bytes(command, sets, fmt, rows, tmp_path, capsys):
+    # main writes the writers' bytes untranslated: the same bytes, and no carriage return, on every platform
+    out = tmp_path / f"run.{fmt}"
+    assert main([command, "--format", fmt, "--out", str(out), *[f for value in sets for f in ("--set", value)]]) == 0
+    written = capsys.readouterr().out.split()
+    cfg = resolve_config(command, None, sets)
+    gammas = cfg["physics.gamma"].split(",") if command == "fig3" else [None]
+    assert len(written) == len(gammas)
+    for path, gamma in zip(written, gammas):
+        result = run_fig1(cfg) if gamma is None else run_fig3(cfg, float(gamma))
+        assert all(len(values) == rows for values in result["columns"].values())
+        data = Path(path).read_bytes()
+        assert data == (csv_text(result) if fmt == "csv" else json_text(command, result, cfg))
+        assert b"\r" not in data
 
 
 # a base run and, for every key, a value other than its default that changes the run's data

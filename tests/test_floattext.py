@@ -1,4 +1,4 @@
-"""floattext.json_join against the standard library's float text, json.dumps per value."""
+"""floattext.json_join against the standard library's float text, json.dumps per value, as bytes."""
 
 import json
 import math
@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from wignerosc.floattext import _shortest, json_join
 
-SEP = ",\n      "
+SEP = b",\n      "
 
 
-def stdlib(values) -> str:
-    """sep.join(json.dumps(v) for v in values), by the C encoder."""
-    return json.dumps(np.asarray(values, dtype=float).tolist(), separators=(SEP, ": "))[1:-1]
+def stdlib(values) -> bytes:
+    """The bytes of sep.join(json.dumps(v) for v in values), by the C encoder."""
+    return json.dumps(np.asarray(values, dtype=float).tolist(), separators=(SEP.decode(), ": "))[1:-1].encode()
 
 
 def assert_same(values):
@@ -83,6 +83,6 @@ def test_ordinary_values_take_the_numpy_path():
 
 
 def test_empty_and_only_special_values():
-    assert json_join(np.array([]), SEP) == ""
+    assert json_join(np.array([]), SEP) == b""
     assert_same([0.0, -0.0, math.nan, math.inf, -math.inf] * 300)
-    assert json_join(np.array([1.0, 2.0]), "%") == "1.0%2.0"  # a separator that % would read
+    assert json_join(np.array([1.0, 2.0]), b"%") == b"1.0%2.0"  # a separator that % would read
